@@ -456,7 +456,11 @@ def run_command(argv, out=None, err=None) -> int:
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else USAGE_ERROR
     if hasattr(args, "cap") and args.cap is None:
-        args.cap = _default_cap()
+        try:
+            args.cap = _default_cap()
+        except ValueError:
+            err.write(f"error: TRISYS_CAP must be an integer, got {os.environ['TRISYS_CAP']!r}\n")
+            return USAGE_ERROR
     if len(args.files) > 1 and not args.each:
         err.write("error: several files given without --each\n")
         return USAGE_ERROR

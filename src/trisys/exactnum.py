@@ -77,6 +77,25 @@ def vec_is_zero(v: Vector) -> bool:
     return not any(v)
 
 
+Sparse = dict[int, Fraction]  # 1-based index -> nonzero coefficient
+
+
+def sparse_add(acc: Sparse, index: int, value: Fraction) -> None:
+    """acc[index] += value, dropping the coordinate when it cancels."""
+    val = acc.get(index, ZERO) + value
+    if val:
+        acc[index] = val
+    else:
+        acc.pop(index, None)
+
+
+def sparse_to_vector(dim: int, sparse: Sparse) -> Vector:
+    out = [ZERO] * dim
+    for index, c in sparse.items():
+        out[index - 1] = c
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RowSpace:
     """A subspace represented by its reduced row echelon spanning rows."""

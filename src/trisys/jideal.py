@@ -11,11 +11,10 @@ only when the ideal is spanned by basis vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionError, NotAdapted, NotAdmissible
-from .exactnum import RowSpace, Vector, rowspace_from, span_insert
+from .exactnum import RowSpace, Sparse, Vector, rowspace_from, sparse_add, sparse_to_vector, span_insert
 from .system import Key, TripleSystem
 
 MODES = ("leibniz", "generic")
@@ -53,28 +52,23 @@ class SplitSystem:
 
 
 def _generator_items(T: TripleSystem) -> list[tuple[Key, Vector]]:
-    """Nonzero g(i,j,k) = {i,j,k} - {i,k,j} + {j,k,i} in lexicographic order."""
+    """Nonzero g(i,j,k) = {i,j,k} - {i,k,j} + {j,k,i} in lexicographic order.
+
+    g(i,j,k) has a term only if (i,j,k), (i,k,j) or (j,k,i) is a key, so a
+    key (p,q,r) makes only g(p,q,r), g(p,r,q) and g(r,p,q) candidates.
+    """
+    candidates = set()
+    for p, q, r in T.table:
+        candidates.update(((p, q, r), (p, r, q), (r, p, q)))
     out = []
-    n = T.dim
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                acc: dict[int, Fraction] = {}
-                for sign, key in ((1, (i, j, k)), (-1, (i, k, j)), (1, (j, k, i))):
-                    term = T.table.get(key)
-                    if term is None:
-                        continue
-                    c, m = term
-                    val = acc.get(m, Fraction(0)) + sign * c
-                    if val:
-                        acc[m] = val
-                    else:
-                        acc.pop(m, None)
-                if acc:
-                    vec = [Fraction(0)] * n
-                    for m, c in acc.items():
-                        vec[m - 1] = c
-                    out.append(((i, j, k), tuple(vec)))
+    for i, j, k in sorted(candidates):
+        acc: Sparse = {}
+        for sign, key in ((1, (i, j, k)), (-1, (i, k, j)), (1, (j, k, i))):
+            term = T.table.get(key)
+            if term is not None:
+                sparse_add(acc, term[1], sign * term[0])
+        if acc:
+            out.append(((i, j, k), sparse_to_vector(T.dim, acc)))
     return out
 
 
@@ -89,27 +83,18 @@ def _slot_products(T: TripleSystem, v: Vector) -> list[Vector]:
     One scan of the table per slot accumulates every pair's product, which
     keeps a closure round at O(rank * |table|) instead of O(rank * dim^2).
     """
-    acc: list[dict[tuple[int, int], dict[int, Fraction]]] = [{}, {}, {}]
+    acc: list[dict[tuple[int, int], Sparse]] = [{}, {}, {}]
     for (i, j, k), (c, m) in T.table.items():
         for slot, idx, pair in ((0, i, (j, k)), (1, j, (i, k)), (2, k, (i, j))):
             f = v[idx - 1]
             if f:
-                d = acc[slot].setdefault(pair, {})
-                val = d.get(m, Fraction(0)) + f * c
-                if val:
-                    d[m] = val
-                else:
-                    d.pop(m, None)
-    out = []
-    for slot in range(3):
-        for pair in sorted(acc[slot]):
-            coords = acc[slot][pair]
-            if coords:
-                vec = [Fraction(0)] * T.dim
-                for m, c in coords.items():
-                    vec[m - 1] = c
-                out.append(tuple(vec))
-    return out
+                sparse_add(acc[slot].setdefault(pair, {}), m, f * c)
+    return [
+        sparse_to_vector(T.dim, acc[slot][pair])
+        for slot in range(3)
+        for pair in sorted(acc[slot])
+        if acc[slot][pair]
+    ]
 
 
 def ideal_closure(T: TripleSystem, seed: RowSpace) -> IdealWitness:
@@ -151,17 +136,12 @@ def check_annihilation(T: TripleSystem, J: RowSpace) -> bool:
     if J.dim != T.dim:
         raise DimensionError(f"subspace dimension {J.dim} does not match system dimension {T.dim}")
     for row in J.rows:
-        acc: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        acc: dict[tuple[int, int, int], Sparse] = {}
         for (i, j, k), (c, m) in T.table.items():
             for slot, idx, pair in ((1, j, (i, k)), (2, k, (i, j))):
                 f = row[idx - 1]
                 if f:
-                    d = acc.setdefault((slot,) + pair, {})
-                    val = d.get(m, Fraction(0)) + f * c
-                    if val:
-                        d[m] = val
-                    else:
-                        d.pop(m, None)
+                    sparse_add(acc.setdefault((slot,) + pair, {}), m, f * c)
         if any(coords for coords in acc.values()):
             return False
     return True

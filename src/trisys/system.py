@@ -11,9 +11,11 @@ triple systems via {x, y, z} = [[x, y], z].
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -24,7 +26,7 @@ from .errors import (
     NotMultiplicative,
     ZeroCoefficient,
 )
-from .exactnum import Rational, Vector, zero_vector
+from .exactnum import Sparse, Vector, sparse_add, sparse_to_vector
 
 Key = tuple[int, int, int]
 Term = tuple[Fraction, int]
@@ -32,9 +34,6 @@ Entry = tuple[int, int, int, Fraction, int]
 BracketEntry = tuple[int, int, Fraction, int]
 
 DEFAULT_IDENTITY_CAP = 12
-
-FOUR_FAMILY = ("four.1", "four.2", "four.3", "four.4")
-TWO_FAMILY = ("two.1", "two.2")
 
 
 def _normalize_labels(dim: int, labels) -> tuple[str | None, ...]:
@@ -153,108 +152,82 @@ def evaluate_product(T: TripleSystem, x: Vector, y: Vector, z: Vector) -> Vector
     return tuple(acc)
 
 
-# --- identity residuals on basis tuples -----------------------------------
+# --- identity check --------------------------------------------------------
 #
-# Every identity term is a product nested once, so on basis arguments it is
-# at most two table lookups.  Residuals accumulate sparsely as target -> coeff.
+# An identity is a signed sum of terms over a basis 5-tuple (a, b, c, d, f),
+# written without braces: "+a(bcd)f" is +{a, {b, c, d}, f}.  A term is stored
+# as (sign, slot, inner, outer): the product of the arguments at positions
+# `inner` sits in outer slot `slot`, and the arguments at positions `outer`
+# fill the other two outer slots in order.
 
-Sparse = dict[int, Fraction]
-
-
-def _acc(acc: Sparse, sign: int, term: Term | None) -> None:
-    if term is None:
-        return
-    c, t = term
-    val = acc.get(t, Fraction(0)) + sign * c
-    if val:
-        acc[t] = val
-    else:
-        acc.pop(t, None)
+IdentityTerm = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _mid(T: TripleSystem, a: int, inner: Key, f: int) -> Term | None:
-    """{a, {inner}, f}"""
-    p = T.product(*inner)
-    if p is None:
-        return None
-    c, t = p
-    q = T.product(a, t, f)
-    return None if q is None else (c * q[0], q[1])
+def _term(text: str) -> IdentityTerm:
+    body = text[1:]
+    slot = body.index("(")
+    pos = ["abcdf".index(x) for x in body.replace("(", "").replace(")", "")]
+    inner = tuple(pos[slot : slot + 3])
+    return (-1 if text[0] == "-" else 1, slot, inner, tuple(pos[:slot] + pos[slot + 3 :]))
 
 
-def _lft(T: TripleSystem, inner: Key, d: int, f: int) -> Term | None:
-    """{{inner}, d, f}"""
-    p = T.product(*inner)
-    if p is None:
-        return None
-    c, t = p
-    q = T.product(t, d, f)
-    return None if q is None else (c * q[0], q[1])
+IDENTITIES: dict[str, tuple[IdentityTerm, ...]] = {
+    name: tuple(_term(t) for t in terms.split())
+    for name, terms in {
+        "four.1": "+a(bcd)f +a(cbd)f",
+        "four.2": "+a(bcd)f +a(cdb)f +a(dbc)f",
+        "four.3": "+ab(cdf) -(abc)df +(abd)cf -(abf)dc +(abf)cd",
+        "four.4": "+(cdf)ba -(cdf)ab -(cba)df +(cab)df -c(abd)f -cd(abf)",
+        "two.1": "+a(bcd)f -(abc)df +(acb)df +(adb)cf -(adc)bf",
+        "two.2": "+ab(cdf) -(abc)df +(abd)cf +(abf)cd -(abf)dc",
+    }.items()
+}
+FOUR_FAMILY = ("four.1", "four.2", "four.3", "four.4")
+TWO_FAMILY = ("two.1", "two.2")
 
 
-def _rgt(T: TripleSystem, a: int, b: int, inner: Key) -> Term | None:
-    """{a, b, {inner}}"""
-    p = T.product(*inner)
-    if p is None:
-        return None
-    c, t = p
-    q = T.product(a, b, t)
-    return None if q is None else (c * q[0], q[1])
+def _joins(T: TripleSystem, scale: int) -> list[list[tuple[Key, int, int, int, int]]]:
+    """joins[s]: every pair of entries, the first one's target in slot s of the second.
+
+    A pair is (first key, u, v, n, target) with u, v, target from the second
+    entry and n = scale**2 * c1 * c2, an integer as scale clears denominators.
+    """
+    scaled = [(key, c.numerator * (scale // c.denominator), t) for key, (c, t) in T.table.items()]
+    by_slot: tuple[dict[int, list[tuple[int, int, int, int]]], ...] = ({}, {}, {})
+    for (i, j, k), n, m in scaled:
+        by_slot[0].setdefault(i, []).append((j, k, n, m))
+        by_slot[1].setdefault(j, []).append((i, k, n, m))
+        by_slot[2].setdefault(k, []).append((i, j, n, m))
+    return [
+        [(key, u, v, n1 * n2, m) for key, n1, t in scaled for u, v, n2, m in index.get(t, ())]
+        for index in by_slot
+    ]
 
 
-def _residual(T: TripleSystem, ident: str, a: int, b: int, c: int, d: int, f: int) -> Sparse:
-    r: Sparse = {}
-    if ident == "four.1":
-        _acc(r, +1, _mid(T, a, (b, c, d), f))
-        _acc(r, +1, _mid(T, a, (c, b, d), f))
-    elif ident == "four.2":
-        _acc(r, +1, _mid(T, a, (b, c, d), f))
-        _acc(r, +1, _mid(T, a, (c, d, b), f))
-        _acc(r, +1, _mid(T, a, (d, b, c), f))
-    elif ident == "four.3":
-        _acc(r, +1, _rgt(T, a, b, (c, d, f)))
-        _acc(r, -1, _lft(T, (a, b, c), d, f))
-        _acc(r, +1, _lft(T, (a, b, d), c, f))
-        _acc(r, -1, _lft(T, (a, b, f), d, c))
-        _acc(r, +1, _lft(T, (a, b, f), c, d))
-    elif ident == "four.4":
-        _acc(r, +1, _lft(T, (c, d, f), b, a))
-        _acc(r, -1, _lft(T, (c, d, f), a, b))
-        _acc(r, -1, _lft(T, (c, b, a), d, f))
-        _acc(r, +1, _lft(T, (c, a, b), d, f))
-        _acc(r, -1, _mid(T, c, (a, b, d), f))
-        _acc(r, -1, _rgt(T, c, d, (a, b, f)))
-    elif ident == "two.1":
-        _acc(r, +1, _mid(T, a, (b, c, d), f))
-        _acc(r, -1, _lft(T, (a, b, c), d, f))
-        _acc(r, +1, _lft(T, (a, c, b), d, f))
-        _acc(r, +1, _lft(T, (a, d, b), c, f))
-        _acc(r, -1, _lft(T, (a, d, c), b, f))
-    elif ident == "two.2":
-        _acc(r, +1, _rgt(T, a, b, (c, d, f)))
-        _acc(r, -1, _lft(T, (a, b, c), d, f))
-        _acc(r, +1, _lft(T, (a, b, d), c, f))
-        _acc(r, +1, _lft(T, (a, b, f), c, d))
-        _acc(r, -1, _lft(T, (a, b, f), d, c))
-    else:
-        raise ValueError(f"unknown identity {ident!r}")
-    return r
+def _identity_residuals(terms, joins) -> dict[tuple[int, ...], dict[int, int]]:
+    """Scaled residual of one identity at every 5-tuple with a nonzero term.
 
-
-def _sparse_to_vector(dim: int, sparse: Sparse) -> Vector:
-    out = [Fraction(0)] * dim
-    for t, c in sparse.items():
-        out[t - 1] = c
-    return tuple(out)
+    A term is nonzero only where its inner and outer triples are both keys,
+    that is on the pairs of joins[slot], placed by the term's positions.
+    """
+    out: dict[tuple[int, ...], dict[int, int]] = {}
+    for sign, slot, inner, outer in terms:
+        order = inner + outer
+        place = itemgetter(*(order.index(p) for p in range(5)))
+        for key, u, v, n, m in joins[slot]:
+            acc = out.setdefault(place(key + (u, v)), {})
+            acc[m] = acc.get(m, 0) + sign * n
+    return out
 
 
 def check_identities(
     T: TripleSystem, family: str = "both", cap: int = DEFAULT_IDENTITY_CAP
 ) -> IdentityReport:
-    """Enumerate all basis 5-tuples and report every violated identity instance.
+    """Report every violated identity instance on basis 5-tuples.
 
-    Multilinearity makes basis tuples sufficient, which costs dim**5
-    evaluations per identity; the cap guards against runaway dimensions.
+    Multilinearity makes basis tuples sufficient.  Only nonzero terms are
+    evaluated, so the cost follows their number, not dim**5; violations come
+    in (tuple, identity) order.  The dimension cap stays as a contract.
     """
     if family not in ("four", "two", "both"):
         raise ValueError(f"family must be 'four', 'two', or 'both', got {family!r}")
@@ -267,14 +240,17 @@ def check_identities(
         idents += FOUR_FAMILY
     if family in ("two", "both"):
         idents += TWO_FAMILY
-    violations = []
-    indices = range(1, T.dim + 1)
-    for tup in itertools.product(indices, repeat=5):
-        for ident in idents:
-            sparse = _residual(T, ident, *tup)
+    scale = math.lcm(*(c.denominator for c, _ in T.table.values()))
+    joins = _joins(T, scale)
+    exact = cache(lambda n: Fraction(n, scale * scale))  # one Fraction per numerator
+    found = []
+    for ident in idents:
+        for tup, scaled in _identity_residuals(IDENTITIES[ident], joins).items():
+            sparse = {m: exact(n) for m, n in scaled.items() if n}
             if sparse:
-                violations.append((ident, tup, _sparse_to_vector(T.dim, sparse)))
-    return IdentityReport(family, tuple(violations))
+                found.append((ident, tup, sparse_to_vector(T.dim, sparse)))
+    found.sort(key=itemgetter(1))  # stable, so each tuple keeps the family's identity order
+    return IdentityReport(family, tuple(found))
 
 
 # --- bilinear brackets and the lift ----------------------------------------
@@ -283,7 +259,7 @@ def check_identities(
 def _bracket_basis(L: BilinearTable, i: int, j: int) -> Sparse:
     out: Sparse = {}
     for c, m in L.table.get((i, j), ()):
-        _acc(out, +1, (c, m))
+        sparse_add(out, m, c)
     return out
 
 
@@ -292,7 +268,7 @@ def _bracket_left(L: BilinearTable, v: Sparse, k: int) -> Sparse:
     out: Sparse = {}
     for m, c in v.items():
         for c2, t in L.table.get((m, k), ()):
-            _acc(out, +1, (c * c2, t))
+            sparse_add(out, t, c * c2)
     return out
 
 
@@ -301,7 +277,7 @@ def _bracket_right(L: BilinearTable, i: int, v: Sparse) -> Sparse:
     out: Sparse = {}
     for m, c in v.items():
         for c2, t in L.table.get((i, m), ()):
-            _acc(out, +1, (c * c2, t))
+            sparse_add(out, t, c * c2)
     return out
 
 
@@ -314,13 +290,13 @@ def check_leibniz(L: BilinearTable) -> tuple[Key, Vector] | None:
     for i, j, k in itertools.product(indices, repeat=3):
         res: Sparse = {}
         for m, c in _bracket_left(L, _bracket_basis(L, i, j), k).items():
-            _acc(res, +1, (c, m))
+            sparse_add(res, m, c)
         for m, c in _bracket_left(L, _bracket_basis(L, i, k), j).items():
-            _acc(res, -1, (c, m))
+            sparse_add(res, m, -c)
         for m, c in _bracket_right(L, i, _bracket_basis(L, j, k)).items():
-            _acc(res, -1, (c, m))
+            sparse_add(res, m, -c)
         if res:
-            return (i, j, k), _sparse_to_vector(L.dim, res)
+            return (i, j, k), sparse_to_vector(L.dim, res)
     return None
 
 
@@ -341,7 +317,7 @@ def lift_from_leibniz(L: BilinearTable) -> TripleSystem:
         if not w:
             continue
         if len(w) > 1:
-            raise NotMultiplicative((i, j, k), _sparse_to_vector(L.dim, w))
+            raise NotMultiplicative((i, j, k), sparse_to_vector(L.dim, w))
         ((m, c),) = w.items()
         entries.append((i, j, k, c, m))
     return construct_system(L.dim, entries, labels=L.labels)

@@ -323,3 +323,121 @@ def oracle_hyperedge_components(T):
         seen |= comp
         comps.append(tuple(sorted(comp)))
     return tuple(sorted(comps))
+
+
+# --- dense reference enumerators -------------------------------------------------
+#
+# The library visits only the nonzero terms of each identity and only the
+# candidate triples of each deviation generator.  These enumerators visit every
+# basis tuple and spell every identity out as code, so they share neither the
+# identity table nor the candidate logic with the functions they check.
+
+
+def _dense_acc(acc, sign, term):
+    if term is None:
+        return
+    c, t = term
+    val = acc.get(t, Fraction(0)) + sign * c
+    if val:
+        acc[t] = val
+    else:
+        acc.pop(t, None)
+
+
+def _dense_nested(T, outer, inner):
+    """{outer} with None marking the slot that holds {inner}."""
+    p = T.product(*inner)
+    if p is None:
+        return None
+    c, t = p
+    q = T.product(*(t if x is None else x for x in outer))
+    return None if q is None else (c * q[0], q[1])
+
+
+def _mid(T, a, inner, f):
+    """{a, {inner}, f}"""
+    return _dense_nested(T, (a, None, f), inner)
+
+
+def _lft(T, inner, d, f):
+    """{{inner}, d, f}"""
+    return _dense_nested(T, (None, d, f), inner)
+
+
+def _rgt(T, a, b, inner):
+    """{a, b, {inner}}"""
+    return _dense_nested(T, (a, b, None), inner)
+
+
+def _dense_residual(T, ident, a, b, c, d, f):
+    r = {}
+    if ident == "four.1":
+        _dense_acc(r, +1, _mid(T, a, (b, c, d), f))
+        _dense_acc(r, +1, _mid(T, a, (c, b, d), f))
+    elif ident == "four.2":
+        _dense_acc(r, +1, _mid(T, a, (b, c, d), f))
+        _dense_acc(r, +1, _mid(T, a, (c, d, b), f))
+        _dense_acc(r, +1, _mid(T, a, (d, b, c), f))
+    elif ident == "four.3":
+        _dense_acc(r, +1, _rgt(T, a, b, (c, d, f)))
+        _dense_acc(r, -1, _lft(T, (a, b, c), d, f))
+        _dense_acc(r, +1, _lft(T, (a, b, d), c, f))
+        _dense_acc(r, -1, _lft(T, (a, b, f), d, c))
+        _dense_acc(r, +1, _lft(T, (a, b, f), c, d))
+    elif ident == "four.4":
+        _dense_acc(r, +1, _lft(T, (c, d, f), b, a))
+        _dense_acc(r, -1, _lft(T, (c, d, f), a, b))
+        _dense_acc(r, -1, _lft(T, (c, b, a), d, f))
+        _dense_acc(r, +1, _lft(T, (c, a, b), d, f))
+        _dense_acc(r, -1, _mid(T, c, (a, b, d), f))
+        _dense_acc(r, -1, _rgt(T, c, d, (a, b, f)))
+    elif ident == "two.1":
+        _dense_acc(r, +1, _mid(T, a, (b, c, d), f))
+        _dense_acc(r, -1, _lft(T, (a, b, c), d, f))
+        _dense_acc(r, +1, _lft(T, (a, c, b), d, f))
+        _dense_acc(r, +1, _lft(T, (a, d, b), c, f))
+        _dense_acc(r, -1, _lft(T, (a, d, c), b, f))
+    elif ident == "two.2":
+        _dense_acc(r, +1, _rgt(T, a, b, (c, d, f)))
+        _dense_acc(r, -1, _lft(T, (a, b, c), d, f))
+        _dense_acc(r, +1, _lft(T, (a, b, d), c, f))
+        _dense_acc(r, +1, _lft(T, (a, b, f), c, d))
+        _dense_acc(r, -1, _lft(T, (a, b, f), d, c))
+    else:
+        raise ValueError(f"unknown identity {ident!r}")
+    return r
+
+
+def _dense_vector(dim, sparse):
+    out = [Fraction(0)] * dim
+    for t, c in sparse.items():
+        out[t - 1] = c
+    return tuple(out)
+
+
+def dense_check_identities(T, family="both"):
+    """Every basis 5-tuple, every identity: the report check_identities must equal."""
+    idents = ()
+    if family in ("four", "both"):
+        idents += ("four.1", "four.2", "four.3", "four.4")
+    if family in ("two", "both"):
+        idents += ("two.1", "two.2")
+    violations = []
+    for tup in itertools.product(range(1, T.dim + 1), repeat=5):
+        for ident in idents:
+            sparse = _dense_residual(T, ident, *tup)
+            if sparse:
+                violations.append((ident, tup, _dense_vector(T.dim, sparse)))
+    return ts.IdentityReport(family, tuple(violations))
+
+
+def dense_generator_items(T):
+    """Nonzero g(i,j,k) = {i,j,k} - {i,k,j} + {j,k,i} over all triples, in lex order."""
+    out = []
+    for i, j, k in itertools.product(range(1, T.dim + 1), repeat=3):
+        acc = {}
+        for sign, key in ((1, (i, j, k)), (-1, (i, k, j)), (1, (j, k, i))):
+            _dense_acc(acc, sign, T.table.get(key))
+        if acc:
+            out.append(((i, j, k), _dense_vector(T.dim, acc)))
+    return out

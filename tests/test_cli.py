@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -332,6 +333,16 @@ def test_cap_flag_and_env(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_bad_cap_env_is_usage_error(tmp_path, monkeypatch):
+    path = write(tmp_path, "a.lts", JA_TEXT)
+    monkeypatch.setenv("TRISYS_CAP", "abc")
+    for command in ("verify", "report"):
+        code, out, err = run([command, path])
+        assert code == 2
+        assert out == ""
+        assert err == "error: TRISYS_CAP must be an integer, got 'abc'\n"
+
+
 def test_json_output_roundtrip(tmp_path):
     path = write(tmp_path, "nf3t.lts", NF3T_TEXT)
     code, out, _ = run(["decompose", "--json", path])
@@ -361,10 +372,14 @@ def test_reports_deterministic(tmp_path):
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "ja.lts", JA_TEXT)
+    # the child imports trisys from where this process found it
+    src = os.path.dirname(os.path.dirname(ts.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "trisys.cli", "verify", path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "leibniz: yes" in proc.stdout

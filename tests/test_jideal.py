@@ -5,6 +5,7 @@ import pytest
 
 import trisys as ts
 from conftest import (
+    dense_generator_items,
     make_jacobson_a,
     make_jacobson_b,
     make_nf3_lift,
@@ -12,8 +13,10 @@ from conftest import (
     make_zero_system,
     oracle_jideal_vectors,
     oracle_ideal_closure,
+    random_broken_tables,
     random_split_systems,
     random_table,
+    random_verified_corpus,
     same_subspace,
 )
 
@@ -38,6 +41,20 @@ def test_generators_vanish_on_jacobson_b():
 def test_generators_nf3():
     gens = ts.generator_vectors(make_nf3_lift())
     assert ts.basis_vector(3, 3) in gens
+
+
+def test_generators_match_dense_scan():
+    rng = random.Random(79)
+    corpus = (
+        random_verified_corpus(83, 15)
+        + random_broken_tables(89, 15)
+        + [S.sys for S in random_split_systems(97, 15)]
+        + [random_table(rng, dim, rng.randint(0, dim**3)) for dim in range(1, 6) for _ in range(3)]
+    )
+    for T in corpus:
+        items = dense_generator_items(T)
+        assert ts.compute_jideal(T).generators == tuple(key for key, _ in items), T
+        assert ts.generator_vectors(T) == [vec for _, vec in items], T
 
 
 def test_generators_zero_table():

@@ -1,10 +1,12 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 import trisys as ts
 from conftest import (
+    dense_check_identities,
     make_jacobson_a,
     make_jacobson_b,
     make_nf3_lift,
@@ -12,7 +14,9 @@ from conftest import (
     make_zero_system,
     random_broken_tables,
     random_brackets,
+    random_split_systems,
     random_table,
+    random_verified_corpus,
 )
 
 F = Fraction
@@ -155,6 +159,28 @@ def test_identities_cap():
     assert ts.check_identities(T, cap=13).ok
 
 
+def _identity_corpus(name):
+    if name == "verified":
+        return random_verified_corpus(61, 12)
+    if name == "broken":
+        return random_broken_tables(67, 12)
+    if name == "random":
+        return [S.sys for S in random_split_systems(71, 12)]
+    rng = random.Random(73)
+    if name == "full":
+        return [random_table(rng, dim, dim**3) for dim in (1, 2, 3, 4) for _ in range(2)]
+    # rational coefficients exercise the common-denominator arithmetic
+    coeffs = (F(1, 2), F(-2, 3), F(3), F(-5, 4))
+    return [random_table(rng, dim, rng.randint(1, dim**3), coeffs) for dim in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("corpus", ["verified", "broken", "random", "full", "rational"])
+def test_identities_match_dense_oracle(corpus):
+    for T in _identity_corpus(corpus):
+        for family in ("four", "two", "both"):
+            assert ts.check_identities(T, family) == dense_check_identities(T, family), (T, family)
+
+
 def test_identities_family_validation():
     with pytest.raises(ValueError):
         ts.check_identities(make_jacobson_a(), "five")
@@ -227,3 +253,12 @@ def test_lifts_are_leibniz_triple_systems():
     for L in random_brackets(29, 25):
         T = ts.lift_from_leibniz(L)
         assert ts.check_identities(T, "both").ok
+
+
+# --- package ------------------------------------------------------------------
+
+
+def test_all_lists_no_modules():
+    assert len(set(ts.__all__)) == len(ts.__all__)
+    for name in ts.__all__:
+        assert not isinstance(getattr(ts, name), types.ModuleType), name
