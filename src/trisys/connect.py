@@ -10,10 +10,16 @@ Two pair domains are supported.  Literal mode lets step pairs range over
 all plain and barred indices, which makes the component decomposition work
 by construction.  Restricted mode confines pairs to jset indices and their
 bars; it is the domain on which connections are reversible.
+
+The basis is multiplicative, so mu is nonzero only on table entries:
+reachability and the partition read their steps off one table scan and
+cost one table scan plus dim.  The pointwise maps replay witnesses.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -165,13 +171,51 @@ def phi(S: SplitSystem, K, p: MarkedIndex, q: MarkedIndex) -> frozenset[int]:
     return frozenset(out)
 
 
-def _pair_domain(S: SplitSystem, mode: str) -> list[tuple[MarkedIndex, MarkedIndex]]:
-    if mode not in PARTITION_MODES:
-        raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
-    plain_pool = range(1, S.sys.dim + 1) if mode == "literal" else S.jset
-    pairs = [(plain(p), plain(q)) for p in plain_pool for q in plain_pool]
-    pairs += [(barred(p), barred(q)) for p in S.jset for q in S.jset]
-    return pairs
+Step = tuple[tuple[bool, int, int], int]  # ((barred, p, q), y) with y in mu(x, p, q)
+
+
+class _Steps:
+    """Every nonzero mu-step of one pair domain, read off the table in one scan.
+
+    A plain step x -(p,q)-> y is an entry keyed by a permutation of (x,p,q)
+    with target y; a barred step x -(p',q')-> y is an entry with target x,
+    y in one slot and p, q in the other two (map_b).  Steps keep the
+    pointwise scan order: plain pairs, then barred, each lexicographic (jset
+    ascending), y ascending.  An entry map_a rejects is a fault of each
+    source probing it; the source's steps stop at its first faulty pair.
+    """
+
+    def __init__(self, S: SplitSystem, mode: str):
+        if mode not in PARTITION_MODES:
+            raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
+        self.S = S
+        in_i, in_j = S.in_i, S.in_j
+        found: dict[int, set[Step]] = defaultdict(set)
+        self.faults: dict[int, tuple[int, int]] = {}
+        for (i, j, k), (_, m) in S.sys.table.items():
+            bad = j in in_i or k in in_i or (i in in_i and m not in in_i)
+            for slot, (s, a, b) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
+                jpair = a in in_j and b in in_j
+                if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
+                    found[m].update((((True, a, b), s), ((True, b, a), s)))
+                if mode == "literal" or jpair:
+                    if bad:
+                        self.faults[s] = min(self.faults.get(s, (a, b)), (a, b), (b, a))
+                    else:
+                        found[s].update((((False, a, b), m), ((False, b, a), m)))
+        self.steps: dict[int, list[Step]] = {}
+        for x, out in found.items():
+            ordered = sorted(out)
+            if x in self.faults:
+                ordered = [st for st in ordered if st[0] < (False, *self.faults[x])]
+            self.steps[x] = ordered
+
+    def of(self, x: int) -> Iterator[Step]:
+        """x's steps in scan order; raises where the pointwise scan of x raises."""
+        yield from self.steps.get(x, ())
+        if x in self.faults:
+            mu(self.S, x, *map(plain, self.faults[x]))  # raises map_a's own InconsistentSplit
+            raise InternalError(f"mu accepts the pair {self.faults[x]} marked faulty at {x}")
 
 
 def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, ConnectionWitness]:
@@ -181,19 +225,17 @@ def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, Connec
     choice is deterministic: queue order, pairs in domain order, elements
     of each mu-set sorted.
     """
-    pairs = _pair_domain(S, mode)
-    found: dict[int, ConnectionWitness] = {
-        k: ConnectionWitness((plain(k),), k)
-    }
-    queue = [k]
+    steps = _Steps(S, mode)
+    found = {k: ConnectionWitness((plain(k),), k)}
+    queue = deque([k])
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         wx = found[x]
-        for p, q in pairs:
-            for y in sorted(mu(S, x, p, q)):
-                if y not in found:
-                    found[y] = ConnectionWitness(wx.elements + (p, q), y)
-                    queue.append(y)
+        for (b, p, q), y in steps.of(x):
+            if y not in found:
+                pair = (MarkedIndex(p, b), MarkedIndex(q, b))
+                found[y] = ConnectionWitness(wx.elements + pair, y)
+                queue.append(y)
     return found
 
 
@@ -254,43 +296,21 @@ class _UnionFind:
         return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
-def _step_closure_classes(S: SplitSystem, mode: str) -> tuple[tuple[int, ...], ...]:
-    """Components of the symmetric closure of one-step reachability."""
-    n = S.sys.dim
-    pairs = _pair_domain(S, mode)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for x in range(1, n + 1):
-        for p, q in pairs:
-            for y in mu(S, x, p, q):
-                adjacency[x].add(y)
-                adjacency[y].add(x)
-    seen: set[int] = set()
-    classes = []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop(0)
-            for y in adjacency[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        classes.append(tuple(sorted(comp)))
-    return tuple(sorted(classes, key=lambda c: c[0]))
-
-
 def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     """Connection classes of the index set.
 
+    The step closure joins each index with the targets of its mu-steps.
     Literal mode equals the connected components of the hypergraph with one
-    hyperedge {i, j, k, target} per table entry; that is computed by
-    union-find and cross-checked against the step closure.  Restricted mode
-    is the step closure over the confined pair domain.
+    hyperedge {i, j, k, target} per table entry; those are computed from the
+    entries alone and cross-checked against the step closure.  Restricted
+    mode is the step closure over the confined pair domain.
     """
-    closure = _step_closure_classes(S, mode)
+    steps = _Steps(S, mode)
+    step_uf = _UnionFind(range(1, S.sys.dim + 1))
+    for x in range(1, S.sys.dim + 1):
+        for _, y in steps.of(x):
+            step_uf.union(x, y)
+    closure = step_uf.classes()
     if mode == "restricted":
         return Partition(closure, mode)
     uf = _UnionFind(range(1, S.sys.dim + 1))

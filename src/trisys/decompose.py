@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapExceeded, ConfinementError, TheoremViolation
-from .exactnum import basis_vector, rowspace_from
-from .jideal import SplitSystem, is_ideal
-from .connect import MarkedIndex, Partition, barred, mu, partition, plain
+from .jideal import SplitSystem
+from .connect import MarkedIndex, Partition, _Steps, partition
 from .system import Entry, TripleSystem, construct_system
 
 DEFAULT_ORACLE_CAP = 12
@@ -84,18 +83,16 @@ def _split_entries(
     S: SplitSystem, part: Partition
 ) -> tuple[list[tuple[tuple[int, ...], list[Entry]]], list[Entry]]:
     """Assign each table entry to the class holding all four of its indices."""
-    buckets = {cls: [] for cls in part.classes}
+    buckets = {cls[0]: [] for cls in part.classes}
     membership = part.class_of
     violations = []
     for i, j, k, c, m in S.sys.entries:
         cls_ids = {membership[i], membership[j], membership[k], membership[m]}
         if len(cls_ids) == 1:
-            root = cls_ids.pop()
-            cls = next(cl for cl in part.classes if cl[0] == root)
-            buckets[cls].append((i, j, k, c, m))
+            buckets[cls_ids.pop()].append((i, j, k, c, m))
         else:
             violations.append((i, j, k, c, m))
-    return [(cls, buckets[cls]) for cls in part.classes], violations
+    return [(cls, buckets[cls[0]]) for cls in part.classes], violations
 
 
 def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry]) -> Component:
@@ -152,19 +149,22 @@ def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionR
         comps = list(err.components)
         violations = err.violations
     n = S.sys.dim
-    ideal_flags = tuple(
-        is_ideal(S.sys, rowspace_from(n, (basis_vector(n, i) for i in comp.indices)))
-        for comp in comps
-    )
-    ortho = tuple(
-        tuple(
-            True if a == b else check_orthogonal(S, comps[a], comps[b])
-            for b in range(len(comps))
-        )
-        for a in range(len(comps))
-    )
+    # one entry scan decides both: the span of a class is an ideal iff every
+    # entry with a factor in it targets it, and two classes are orthogonal
+    # iff no entry draws factors from both (the classes cover 1..n)
+    position = {i: c for c, comp in enumerate(comps) for i in comp.indices}
+    ideal_flags = [True] * len(comps)
+    ortho = [[True] * len(comps) for _ in comps]
+    for i, j, k, _, m in S.sys.entries:
+        factors = {position[i], position[j], position[k]}
+        for a in factors:
+            ideal_flags[a] = ideal_flags[a] and a == position[m]
+            for b in factors - {a}:
+                ortho[a][b] = False
     covered = sorted(i for comp in comps for i in comp.indices) == list(range(1, n + 1))
-    report = DecompositionReport(tuple(comps), ortho, ideal_flags, covered, mode, violations)
+    report = DecompositionReport(
+        tuple(comps), tuple(map(tuple, ortho)), tuple(ideal_flags), covered, mode, violations
+    )
     if mode == "literal" and not report.ok:
         raise TheoremViolation("literal decomposition failed its own guarantees")
     return report
@@ -172,11 +172,8 @@ def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionR
 
 def _realized(S: SplitSystem, t1: int, s1: int, s2: int, t2: int) -> bool:
     """Is v_t2 a nonzero multiple of {v_t1, u_s1, u_s2} up to swapping the pair?"""
-    for key in ((t1, s1, s2), (t1, s2, s1)):
-        term = S.sys.table.get(key)
-        if term is not None and term[1] == t2:
-            return True
-    return False
+    table = S.sys.table
+    return any(key in table and table[key][1] == t2 for key in ((t1, s1, s2), (t1, s2, s1)))
 
 
 def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]:
@@ -184,18 +181,14 @@ def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]
 
     For plain pairs (s1, s2) in jset and for barred pairs, each t2 in
     mu(t1, s1, s2) must satisfy v_t2 in F{v_t1, u_s1, u_s2} for one of the
-    two pair orders.  Returns the first failing tuple in scan order.
+    two pair orders.  Returns the first failing tuple in scan order (t1, plain
+    then barred pairs, t2).  Costs one table scan plus dim.
     """
-    jset = S.jset
+    steps = _Steps(S, "restricted")
     for t1 in range(1, S.sys.dim + 1):
-        for s1, s2 in itertools.product(jset, jset):
-            for t2 in sorted(mu(S, t1, plain(s1), plain(s2))):
-                if not _realized(S, t1, s1, s2, t2):
-                    return False, MuViolation(t1, (plain(s1), plain(s2)), t2)
-        for s1, s2 in itertools.product(jset, jset):
-            for t2 in sorted(mu(S, t1, barred(s1), barred(s2))):
-                if not _realized(S, t1, s1, s2, t2):
-                    return False, MuViolation(t1, (barred(s1), barred(s2)), t2)
+        for (b, s1, s2), t2 in steps.of(t1):
+            if not _realized(S, t1, s1, s2, t2):
+                return False, MuViolation(t1, (MarkedIndex(s1, b), MarkedIndex(s2, b)), t2)
     return True, None
 
 
@@ -228,11 +221,7 @@ def enumerate_inherited_ideals(
 
 def minimality_oracle(S: SplitSystem, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """Exhaustive minimality: every nonzero inherited ideal spans iset or all."""
-    full = tuple(range(1, S.sys.dim + 1))
-    for subset in enumerate_inherited_ideals(S, cap):
-        if subset and subset != S.iset and subset != full:
-            return False
-    return True
+    return _oracle_counterexample(S, cap) is None
 
 
 def _oracle_counterexample(S: SplitSystem, cap: int) -> tuple[int, ...] | None:

@@ -61,22 +61,6 @@ def basis_vector(dim: int, index: int) -> Vector:
     return tuple(ONE if p == index - 1 else ZERO for p in range(dim))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return not any(v)
-
-
 Sparse = dict[int, Fraction]  # 1-based index -> nonzero coefficient
 
 
@@ -146,7 +130,10 @@ def span_insert(space: RowSpace, v: Vector) -> RowSpace:
         return space
     inv = ONE / w[lead]
     new = tuple(inv * c for c in w)
-    adjusted = [vec_sub(row, vec_scale(row[lead], new)) for row in space.rows]
+    adjusted = [
+        tuple(a - row[lead] * b for a, b in zip(row, new)) if row[lead] else row
+        for row in space.rows
+    ]
     adjusted.append(new)
     adjusted.sort(key=lambda row: next(p for p, c in enumerate(row) if c))
     return RowSpace(space.dim, tuple(adjusted))

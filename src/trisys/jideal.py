@@ -166,6 +166,10 @@ def split_basis(T: TripleSystem, J: RowSpace, mode: str = "leibniz") -> SplitSys
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "leibniz" and J != compute_jideal(T).subspace:
         raise ValueError("leibniz mode requires the computed deviation ideal")
+    return _split(T, J, mode)
+
+
+def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
     iset = J.basis_indices()
     if iset is None:
         bad = next(row for row in J.rows if sum(1 for c in row if c) != 1)
@@ -181,4 +185,4 @@ def split_basis(T: TripleSystem, J: RowSpace, mode: str = "leibniz") -> SplitSys
 
 def split_system(T: TripleSystem) -> SplitSystem:
     """Compute the deviation ideal and split along it."""
-    return split_basis(T, compute_jideal(T).subspace, "leibniz")
+    return _split(T, compute_jideal(T).subspace, "leibniz")

@@ -441,3 +441,108 @@ def dense_generator_items(T):
         if acc:
             out.append(((i, j, k), _dense_vector(T.dim, acc)))
     return out
+
+
+# --- dense connection references -----------------------------------------------
+#
+# The library reads every mu-step off the table entries in one scan.  These
+# references probe mu at every source index against every pair of the pair
+# domain, exactly as the connection layer did before, so they share only the
+# public maps a, b and mu with the code they check.
+
+
+def dense_pair_domain(S, mode):
+    modes = ("literal", "restricted")
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {modes}, got {mode!r}")
+    plain_pool = range(1, S.sys.dim + 1) if mode == "literal" else S.jset
+    pairs = [(ts.plain(p), ts.plain(q)) for p in plain_pool for q in plain_pool]
+    pairs += [(ts.barred(p), ts.barred(q)) for p in S.jset for q in S.jset]
+    return pairs
+
+
+def dense_reachable(S, k, mode="literal"):
+    """Breadth-first closure from k over the whole pair domain, with witnesses."""
+    pairs = dense_pair_domain(S, mode)
+    found = {k: ts.ConnectionWitness((ts.plain(k),), k)}
+    queue = [k]
+    while queue:
+        x = queue.pop(0)
+        wx = found[x]
+        for p, q in pairs:
+            for y in sorted(ts.mu(S, x, p, q)):
+                if y not in found:
+                    found[y] = ts.ConnectionWitness(wx.elements + (p, q), y)
+                    queue.append(y)
+    return found
+
+
+def dense_step_closure_classes(S, mode):
+    """Components of the symmetric one-step relation, every (x, pair) probed."""
+    n = S.sys.dim
+    pairs = dense_pair_domain(S, mode)
+    adjacency = {i: set() for i in range(1, n + 1)}
+    for x in range(1, n + 1):
+        for p, q in pairs:
+            for y in ts.mu(S, x, p, q):
+                adjacency[x].add(y)
+                adjacency[y].add(x)
+    seen = set()
+    classes = []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            x = queue.pop(0)
+            for y in adjacency[x]:
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        classes.append(tuple(sorted(comp)))
+    return tuple(sorted(classes, key=lambda c: c[0]))
+
+
+def _dense_realized(S, t1, s1, s2, t2):
+    for key in ((t1, s1, s2), (t1, s2, s1)):
+        term = S.sys.table.get(key)
+        if term is not None and term[1] == t2:
+            return True
+    return False
+
+
+def dense_mu_multiplicativity_check(S):
+    """First mu-relation over jset pairs not realized by a product, dense scan."""
+    jset = S.jset
+    for t1 in range(1, S.sys.dim + 1):
+        for mark in (ts.plain, ts.barred):
+            for s1, s2 in itertools.product(jset, jset):
+                for t2 in sorted(ts.mu(S, t1, mark(s1), mark(s2))):
+                    if not _dense_realized(S, t1, s1, s2, t2):
+                        return False, ts.MuViolation(t1, (mark(s1), mark(s2)), t2)
+    return True, None
+
+
+def random_arbitrary_splits(seed, count, max_dim=5, max_entries=6):
+    """SplitSystems whose iset and jset are drawn at random over random tables.
+
+    Most of them do not fit their table, so the connection layer must detect
+    the inconsistent entries; jset is the complement of iset half the time
+    and an independent random subset (overlapping iset or missing indices)
+    otherwise.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, max_dim)
+        T = random_table(rng, dim, rng.randint(0, max_entries))
+        ids = range(1, dim + 1)
+        iset = tuple(i for i in ids if rng.random() < 0.4)
+        if rng.random() < 0.5:
+            jset = tuple(i for i in ids if i not in iset)
+        else:
+            jset = tuple(i for i in ids if rng.random() < 0.6)
+        out.append(ts.SplitSystem(T, iset, jset, "generic"))
+    return out

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -383,3 +384,26 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "leibniz: yes" in proc.stdout
+
+
+# --- robustness ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["decompose", "minimal", "split"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dim 500\n",
+        "dim 500\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\nprod 300 300 300 = 1 * 499\n",
+    ],
+    ids=["empty", "three-entries"],
+)
+def test_wide_sparse_file_finishes_quickly(tmp_path, command, text):
+    # the connection layer costs one table scan plus dim, not dim**4
+    path = write(tmp_path, "wide.tri", text)
+    start = time.perf_counter()
+    code, out, err = run([command, path])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert "dim: 500" in out
+    assert elapsed < 20, f"{command} on a dim-500 file took {elapsed:.1f} s"

@@ -6,12 +6,17 @@ import pytest
 import trisys as ts
 from trisys import bar, barred, plain
 from conftest import (
+    dense_mu_multiplicativity_check,
+    dense_reachable,
+    dense_step_closure_classes,
     make_jacobson_a,
     make_jacobson_b,
     make_nf3_lift,
     make_zero_system,
     oracle_hyperedge_components,
+    random_arbitrary_splits,
     random_split_systems,
+    random_verified_corpus,
 )
 
 
@@ -257,3 +262,84 @@ def test_mu_permutation_symmetry():
                 assert ts.mu(S, k, barred(r1), barred(r2)) == ts.mu(
                     S, k, barred(r2), barred(r1)
                 )
+
+
+# --- entry scan against the dense pair-domain references ---------------------------
+
+MODES = ("literal", "restricted")
+
+
+def differential_corpus():
+    """Consistent splits (lemma suite, raw random, verified) and arbitrary ones."""
+    systems = lemma_corpus()
+    systems += random_split_systems(211, 120, max_dim=6, max_entries=6)
+    systems += [split(T) for T in random_verified_corpus(212, 60, max_dim=7)]
+    systems += random_arbitrary_splits(213, 500)
+    return systems
+
+
+def outcome(fn, *args):
+    """The result, or the InconsistentSplit message; any other error propagates."""
+    try:
+        return "ok", fn(*args)
+    except ts.InconsistentSplit as exc:
+        return "inconsistent", str(exc)
+
+
+def test_partition_matches_dense_step_closure():
+    raised = agreed = 0
+    for S in differential_corpus():
+        for mode in MODES:
+            want = outcome(dense_step_closure_classes, S, mode)
+            got = outcome(lambda: ts.partition(S, mode).classes)
+            assert got == want, (S, mode)
+            raised += want[0] == "inconsistent"
+            agreed += 1
+    assert raised > 100 and agreed - raised > 400
+
+
+def test_reachable_matches_dense_every_source():
+    raised = 0
+    for S in differential_corpus():
+        for mode in MODES:
+            for k in range(1, S.sys.dim + 1):
+                want = outcome(dense_reachable, S, k, mode)
+                got = outcome(ts.reachable, S, k, mode)
+                if want[0] == "ok":
+                    assert got[0] == "ok", (S, k, mode)
+                    # same witnesses, discovered in the same order
+                    assert list(got[1].items()) == list(want[1].items()), (S, k, mode)
+                else:
+                    assert got == want, (S, k, mode)
+                    raised += 1
+    assert raised > 100
+
+
+def test_mu_check_matches_dense_scan():
+    violations = raised = 0
+    for S in differential_corpus():
+        want = outcome(dense_mu_multiplicativity_check, S)
+        got = outcome(ts.mu_multiplicativity_check, S)
+        assert got == want, S
+        raised += want[0] == "inconsistent"
+        violations += want[0] == "ok" and not want[1][0]
+    assert raised > 50 and violations > 50
+
+
+def test_reachable_rejects_unknown_mode(nf3_split):
+    with pytest.raises(ValueError):
+        ts.reachable(nf3_split, 1, "dense")
+    with pytest.raises(ValueError):
+        ts.partition(nf3_split, "dense")
+
+
+def test_inconsistent_entry_out_of_reach_is_not_probed():
+    # 3 is declared an ideal index, so the entry {v3,u3,u3} is inconsistent;
+    # nothing reaches 3 from 1, and only the closure over all sources sees it
+    T = ts.construct_system(4, [(1, 2, 2, 1, 2), (3, 3, 3, 1, 4)])
+    S = ts.SplitSystem(T, (3,), (1, 2, 4), "generic")
+    assert set(ts.reachable(S, 1, "literal")) == {1, 2}
+    with pytest.raises(ts.InconsistentSplit):
+        ts.reachable(S, 3, "literal")
+    with pytest.raises(ts.InconsistentSplit):
+        ts.partition(S, "literal")

@@ -130,6 +130,31 @@ def test_decomposition_deterministic():
     assert ts.check_decomposition(S) == ts.check_decomposition(S)
 
 
+def test_ideal_and_orthogonality_flags_match_pointwise_checks():
+    # both come from one entry scan; is_ideal closes the row space instead,
+    # and check_orthogonal scans the table once per pair of components
+    systems = random_split_systems(311, 150, max_dim=6, max_entries=6)
+    systems += [split(T) for T in random_verified_corpus(312, 40, max_dim=7)]
+    not_ideal = not_orthogonal = 0
+    for S in systems:
+        n = S.sys.dim
+        for mode in ("literal", "restricted"):
+            report = ts.check_decomposition(S, mode)
+            comps = report.components
+            want = tuple(
+                ts.is_ideal(S.sys, ts.rowspace_from(n, [ts.basis_vector(n, i) for i in comp.indices]))
+                for comp in comps
+            )
+            assert report.ideal_flags == want, (S, mode)
+            ortho = tuple(
+                tuple(a is b or ts.check_orthogonal(S, a, b) for b in comps) for a in comps
+            )
+            assert report.orthogonality == ortho, (S, mode)
+            not_ideal += want.count(False)
+            not_orthogonal += sum(row.count(False) for row in ortho)
+    assert not_ideal > 20 and not_orthogonal > 20
+
+
 # --- mu-multiplicativity --------------------------------------------------------------
 
 
