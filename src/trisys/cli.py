@@ -96,103 +96,126 @@ def _header(command: str, name: str, T) -> dict:
     }
 
 
-def _split_for(T, args):
+def _split_for(T, args, witness=None):
     generic = getattr(args, "generic", None)
     if generic is None:
-        return split_system(T)
+        return split_system(T, witness)
     iset = _parse_iset(generic)
     space = rowspace_from(T.dim, (basis_vector(T.dim, i) for i in iset))
     return split_basis(T, space, "generic")
 
 
-# --- command handlers: each returns (exit_code, doc) -----------------------
+# --- report sections: built once per input and shared by the commands -------
+
+
+def _verify_section(T, args) -> tuple[int, dict]:
+    report = check_identities(T, args.family, cap=args.cap)
+    section = {
+        "family": report.checked,
+        "multiplicative": True,
+        "leibniz": report.ok,
+        "violations": [
+            {
+                "identity": ident,
+                "tuple": list(tup),
+                "residual": {str(p + 1): rat_str(c) for p, c in enumerate(res) if c},
+            }
+            for ident, tup, res in report.violations
+        ],
+    }
+    return (0 if report.ok else CHECK_FAILED), section
+
+
+def _jideal_section(T, witness) -> dict:
+    return {
+        "rank": witness.subspace.rank,
+        "rows": [[rat_str(c) for c in row] for row in witness.subspace.rows],
+        "generators": len(witness.generators),
+        "rounds": witness.closure_rounds,
+        "annihilation": check_annihilation(T, witness.subspace),
+    }
+
+
+def _split_section(S) -> dict:
+    return {"mode": S.mode, "iset": list(S.iset), "jset": list(S.jset)}
+
+
+def _decompose_section(S, args) -> tuple[int, dict]:
+    report = check_decomposition(S, args.mode)
+    # the requested mode's classes are the components' indices, so
+    # modes_agree partitions only the other mode, after the requested one,
+    # which keeps the first InconsistentSplit raised
+    classes = tuple(comp.indices for comp in report.components)
+    other = "restricted" if args.mode == "literal" else "literal"
+    section = {
+        "classes": [list(cls) for cls in classes],
+        "components": [
+            {
+                "indices": list(comp.indices),
+                "iset": list(comp.iset_part),
+                "jset": list(comp.jset_part),
+                "entries": [
+                    _entry_doc((comp.indices[i - 1], comp.indices[j - 1], comp.indices[k - 1], c, comp.indices[m - 1]))
+                    for i, j, k, c, m in comp.subsystem.entries
+                ],
+            }
+            for comp in report.components
+        ],
+        "orthogonality": [list(row) for row in report.orthogonality],
+        "ideals": list(report.ideal_flags),
+        "covers": report.covers,
+        "confinement_violations": [_entry_doc(e) for e in report.confinement_violations],
+        "modes_agree": classes == partition(S, other).classes,
+        "ok": report.ok,
+    }
+    return (0 if report.ok else CHECK_FAILED), section
+
+
+def _minimal_section(S, args) -> dict:
+    verdict = is_minimal(S, args.mode, oracle_cap=args.oracle_cap)
+    return {
+        "mu_multiplicative": verdict.mu_multiplicative,
+        "mu_violation": str(verdict.mu_violation) if verdict.mu_violation else None,
+        "i_connected": verdict.i_connected,
+        "j_connected": verdict.j_connected,
+        "oracle_used": verdict.oracle_used,
+        "verdict": verdict.verdict,
+        "counterexample_ideal": (
+            list(verdict.counterexample_ideal) if verdict.counterexample_ideal else None
+        ),
+    }
+
+
+# --- command handlers: each parses once and returns (exit_code, doc) -------
 
 
 def _cmd_verify(name: str, text: str, args) -> tuple[int, dict]:
     T = parse_system(text)
-    report = check_identities(T, args.family, cap=args.cap)
-    doc = _header("verify", name, T)
-    doc["family"] = report.checked
-    doc["multiplicative"] = True
-    doc["leibniz"] = report.ok
-    doc["violations"] = [
-        {
-            "identity": ident,
-            "tuple": list(tup),
-            "residual": {str(p + 1): rat_str(c) for p, c in enumerate(res) if c},
-        }
-        for ident, tup, res in report.violations
-    ]
-    return (0 if report.ok else CHECK_FAILED), doc
+    code, section = _verify_section(T, args)
+    return code, {**_header("verify", name, T), **section}
 
 
 def _cmd_jideal(name: str, text: str, args) -> tuple[int, dict]:
     T = parse_system(text)
-    witness = compute_jideal(T)
-    doc = _header("jideal", name, T)
-    doc["rank"] = witness.subspace.rank
-    doc["rows"] = [[rat_str(c) for c in row] for row in witness.subspace.rows]
-    doc["generators"] = len(witness.generators)
-    doc["rounds"] = witness.closure_rounds
-    doc["annihilation"] = check_annihilation(T, witness.subspace)
-    return 0, doc
+    return 0, {**_header("jideal", name, T), **_jideal_section(T, compute_jideal(T))}
 
 
 def _cmd_split(name: str, text: str, args) -> tuple[int, dict]:
     T = parse_system(text)
-    S = _split_for(T, args)
-    doc = _header("split", name, T)
-    doc["mode"] = S.mode
-    doc["iset"] = list(S.iset)
-    doc["jset"] = list(S.jset)
-    return 0, doc
+    return 0, {**_header("split", name, T), **_split_section(_split_for(T, args))}
 
 
 def _cmd_decompose(name: str, text: str, args) -> tuple[int, dict]:
     T = parse_system(text)
     S = _split_for(T, args)
-    report = check_decomposition(S, args.mode)
-    doc = _header("decompose", name, T)
-    doc["mode"] = report.mode
-    doc["split_mode"] = S.mode
-    doc["classes"] = [list(comp.indices) for comp in report.components]
-    doc["components"] = [
-        {
-            "indices": list(comp.indices),
-            "iset": list(comp.iset_part),
-            "jset": list(comp.jset_part),
-            "entries": [
-                _entry_doc((comp.indices[i - 1], comp.indices[j - 1], comp.indices[k - 1], c, comp.indices[m - 1]))
-                for i, j, k, c, m in comp.subsystem.entries
-            ],
-        }
-        for comp in report.components
-    ]
-    doc["orthogonality"] = [list(row) for row in report.orthogonality]
-    doc["ideals"] = list(report.ideal_flags)
-    doc["covers"] = report.covers
-    doc["confinement_violations"] = [_entry_doc(e) for e in report.confinement_violations]
-    doc["modes_agree"] = partition(S, "literal").classes == partition(S, "restricted").classes
-    doc["ok"] = report.ok
-    return (0 if report.ok else CHECK_FAILED), doc
+    code, section = _decompose_section(S, args)
+    return code, {**_header("decompose", name, T), "mode": args.mode, "split_mode": S.mode, **section}
 
 
 def _cmd_minimal(name: str, text: str, args) -> tuple[int, dict]:
     T = parse_system(text)
     S = _split_for(T, args)
-    verdict = is_minimal(S, args.mode, oracle_cap=args.oracle_cap)
-    doc = _header("minimal", name, T)
-    doc["mode"] = args.mode
-    doc["mu_multiplicative"] = verdict.mu_multiplicative
-    doc["mu_violation"] = str(verdict.mu_violation) if verdict.mu_violation else None
-    doc["i_connected"] = verdict.i_connected
-    doc["j_connected"] = verdict.j_connected
-    doc["oracle_used"] = verdict.oracle_used
-    doc["verdict"] = verdict.verdict
-    doc["counterexample_ideal"] = (
-        list(verdict.counterexample_ideal) if verdict.counterexample_ideal else None
-    )
-    return 0, doc
+    return 0, {**_header("minimal", name, T), "mode": args.mode, **_minimal_section(S, args)}
 
 
 def _cmd_lift(name: str, text: str, args) -> tuple[int, dict]:
@@ -210,46 +233,22 @@ def _cmd_lift(name: str, text: str, args) -> tuple[int, dict]:
 
 
 def _cmd_report(name: str, text: str, args) -> tuple[int, dict]:
-    code, doc = _cmd_verify(name, text, args)
-    doc["command"] = "report"
+    """The whole pipeline on one parse, one deviation ideal and one split."""
     T = parse_system(text)
-    jideal_code, jideal_doc = _cmd_jideal(name, text, args)
-    doc["jideal"] = {k: jideal_doc[k] for k in ("rank", "rows", "generators", "rounds", "annihilation")}
+    code, section = _verify_section(T, args)
+    doc = {**_header("report", name, T), **section}
+    witness = compute_jideal(T)
+    doc["jideal"] = _jideal_section(T, witness)
     try:
-        S = _split_for(T, args)
+        S = _split_for(T, args, witness)
     except _CHECK_ERRORS as err:
         doc["split"] = {"error": type(err).__name__, "message": str(err)}
         return CHECK_FAILED, doc
-    doc["split"] = {"mode": S.mode, "iset": list(S.iset), "jset": list(S.jset)}
-    dec_code, dec_doc = _cmd_decompose(name, text, args)
-    doc["decompose"] = {
-        k: dec_doc[k]
-        for k in (
-            "mode",
-            "classes",
-            "components",
-            "orthogonality",
-            "ideals",
-            "covers",
-            "confinement_violations",
-            "modes_agree",
-            "ok",
-        )
-    }
-    min_code, min_doc = _cmd_minimal(name, text, args)
-    doc["minimal"] = {
-        k: min_doc[k]
-        for k in (
-            "mu_multiplicative",
-            "mu_violation",
-            "i_connected",
-            "j_connected",
-            "oracle_used",
-            "verdict",
-            "counterexample_ideal",
-        )
-    }
-    return max(code, dec_code, min_code), doc
+    doc["split"] = _split_section(S)
+    dec_code, section = _decompose_section(S, args)
+    doc["decompose"] = {"mode": args.mode, **section}
+    doc["minimal"] = _minimal_section(S, args)
+    return max(code, dec_code), doc
 
 
 _HANDLERS = {
@@ -304,17 +303,12 @@ def _render_jideal(doc: dict) -> list[str]:
     return lines
 
 
-def _render_split(doc: dict) -> list[str]:
-    lines = _render_header(doc)
-    lines.append(f"mode: {doc['mode']}")
-    lines.append(f"iset: {_fmt_set(doc['iset'])}")
-    lines.append(f"jset: {_fmt_set(doc['jset'])}")
-    return lines
+def _split_lines(doc: dict) -> list[str]:
+    return [f"mode: {doc['mode']}", f"iset: {_fmt_set(doc['iset'])}", f"jset: {_fmt_set(doc['jset'])}"]
 
 
-def _render_decompose(doc: dict) -> list[str]:
-    lines = _render_header(doc)
-    lines.append(f"mode: {doc['mode']}")
+def _decompose_lines(doc: dict) -> list[str]:
+    lines = [f"mode: {doc['mode']}"]
     lines.append("classes: " + " ".join(_fmt_set(cls) for cls in doc["classes"]))
     for comp in doc["components"]:
         lines.append(
@@ -335,9 +329,8 @@ def _render_decompose(doc: dict) -> list[str]:
     return lines
 
 
-def _render_minimal(doc: dict) -> list[str]:
-    lines = _render_header(doc)
-    lines.append(f"mode: {doc['mode']}")
+def _minimal_lines(mode: str, doc: dict) -> list[str]:
+    lines = [f"mode: {mode}"]
     lines.append(f"mu_multiplicative: {_fmt_bool(doc['mu_multiplicative'])}")
     if doc["mu_violation"]:
         lines.append(f"mu_violation: {doc['mu_violation']}")
@@ -350,47 +343,47 @@ def _render_minimal(doc: dict) -> list[str]:
     return lines
 
 
-def _render_lift(doc: dict) -> list[str]:
-    return [doc["text"].rstrip("\n")]
-
-
 def _render_report(doc: dict) -> list[str]:
-    lines = ["[verify]"]
-    lines += _render_verify(doc)
-    lines.append("[jideal]")
+    lines = ["[verify]", *_render_verify(doc), "[jideal]"]
     j = doc["jideal"]
     lines.append(f"rank: {j['rank']}")
-    for row in j["rows"]:
-        lines.append("row: " + " ".join(row))
+    lines += ["row: " + " ".join(row) for row in j["rows"]]
     lines.append(f"annihilation: {_fmt_bool(j['annihilation'])}")
     lines.append("[split]")
     s = doc["split"]
     if "error" in s:
         lines.append(f"error: {s['error']}: {s['message']}")
         return lines
-    lines.append(f"mode: {s['mode']}")
-    lines.append(f"iset: {_fmt_set(s['iset'])}")
-    lines.append(f"jset: {_fmt_set(s['jset'])}")
-    lines.append("[decompose]")
-    d = dict(doc["decompose"])
-    d.update({k: doc[k] for k in ("file", "hash", "dim")})
-    lines += _render_decompose(d)[3:]
-    lines.append("[minimal]")
-    m = dict(doc["minimal"])
-    m.update({k: doc[k] for k in ("file", "hash", "dim")})
-    m["mode"] = doc["decompose"]["mode"]
-    lines += _render_minimal(m)[3:]
-    return lines
+    lines += [*_split_lines(s), "[decompose]", *_decompose_lines(doc["decompose"]), "[minimal]"]
+    return lines + _minimal_lines(doc["decompose"]["mode"], doc["minimal"])
 
 
 _RENDERERS = {
     "verify": _render_verify,
     "jideal": _render_jideal,
-    "split": _render_split,
-    "decompose": _render_decompose,
-    "minimal": _render_minimal,
-    "lift-leibniz": _render_lift,
+    "split": lambda doc: _render_header(doc) + _split_lines(doc),
+    "decompose": lambda doc: _render_header(doc) + _decompose_lines(doc),
+    "minimal": lambda doc: _render_header(doc) + _minimal_lines(doc["mode"], doc),
+    "lift-leibniz": lambda doc: [doc["text"].rstrip("\n")],
     "report": _render_report,
+}
+
+
+_OPTIONS = {
+    "--family": dict(choices=("four", "two", "both"), default="both"),
+    "--cap": dict(type=int, default=None),
+    "--mode": dict(choices=("literal", "restricted"), default="literal"),
+    "--oracle-cap": dict(type=int, default=DEFAULT_ORACLE_CAP),
+    "--generic": dict(metavar="ISET", default=None),
+}
+_COMMAND_OPTIONS = {
+    "verify": ("--family", "--cap"),
+    "jideal": (),
+    "split": ("--generic",),
+    "decompose": ("--mode", "--generic"),
+    "minimal": ("--mode", "--oracle-cap", "--generic"),
+    "lift-leibniz": (),
+    "report": ("--family", "--cap", "--mode", "--oracle-cap", "--generic"),
 }
 
 
@@ -400,47 +393,50 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computer algebra for triple systems with multiplicative bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **extra):
+    for name, options in _COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("files", nargs="+", metavar="FILE")
         p.add_argument("--each", action="store_true", help="process several files")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("verify")
-    p.add_argument("--family", choices=("four", "two", "both"), default="both")
-    p.add_argument("--cap", type=int, default=None)
-
-    add("jideal")
-
-    p = add("split")
-    p.add_argument("--generic", metavar="ISET", default=None)
-
-    p = add("decompose")
-    p.add_argument("--mode", choices=("literal", "restricted"), default="literal")
-    p.add_argument("--generic", metavar="ISET", default=None)
-
-    p = add("minimal")
-    p.add_argument("--mode", choices=("literal", "restricted"), default="literal")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.add_argument("--generic", metavar="ISET", default=None)
-
-    add("lift-leibniz")
-
-    p = add("report")
-    p.add_argument("--family", choices=("four", "two", "both"), default="both")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--mode", choices=("literal", "restricted"), default="literal")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.add_argument("--generic", metavar="ISET", default=None)
-
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte, for str-keyed dicts, lists, tuples and scalars.
+
+    json.dumps with an indent runs the pure-Python encoder (Python 3.10 and
+    3.11); this writer encodes strings in C, writes str and int items inline
+    and joins each container once.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _encode_str(k) + ": " + (
+                _encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner)
+            )
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, (str, int, type(None))):  # bool is an int
+        return json.dumps(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(out, args, code: int, doc: dict) -> None:
     if args.json:
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_dumps(doc) + "\n")
     else:
         out.write("\n".join(_RENDERERS[doc["command"]](doc)) + "\n")
 
@@ -472,7 +468,8 @@ def run_command(argv, out=None, err=None) -> int:
         if args.each and batch is None:
             out.write(f"== {path} ==\n")
         try:
-            text = open(path, "r", encoding="utf-8").read()
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             err.write(f"error: {exc}\n")
             worst = max(worst, USAGE_ERROR)
@@ -488,7 +485,7 @@ def run_command(argv, out=None, err=None) -> int:
             if batch is not None:
                 batch.append(doc)
             elif args.json:
-                out.write(json.dumps(doc, indent=2) + "\n")
+                out.write(_dumps(doc) + "\n")
             else:
                 out.write(f"error: {type(exc).__name__}: {exc}\n")
             worst = max(worst, CHECK_FAILED)
@@ -503,7 +500,7 @@ def run_command(argv, out=None, err=None) -> int:
             _emit(out, args, code, doc)
         worst = max(worst, code)
     if batch is not None:
-        out.write(json.dumps(batch, indent=2) + "\n")
+        out.write(_dumps(batch) + "\n")
     return worst
 
 

@@ -183,6 +183,6 @@ def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
     return SplitSystem(T, tuple(sorted(iset)), jset, mode)
 
 
-def split_system(T: TripleSystem) -> SplitSystem:
-    """Compute the deviation ideal and split along it."""
-    return _split(T, compute_jideal(T).subspace, "leibniz")
+def split_system(T: TripleSystem, witness: IdealWitness | None = None) -> SplitSystem:
+    """Split along the deviation ideal: witness if given (it must be compute_jideal(T)), else computed."""
+    return _split(T, (witness or compute_jideal(T)).subspace, "leibniz")

@@ -9,8 +9,9 @@ import time
 import pytest
 
 import trisys as ts
+from trisys import cli
 from trisys.cli import run_command
-from conftest import make_nf3_lift, random_table
+from conftest import make_nf3_lift, random_table, random_verified_corpus
 
 JA_TEXT = "dim 2\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\n"
 JB_TEXT = (
@@ -407,3 +408,136 @@ def test_wide_sparse_file_finishes_quickly(tmp_path, command, text):
     assert code == 0, err
     assert "dim: 500" in out
     assert elapsed < 20, f"{command} on a dim-500 file took {elapsed:.1f} s"
+
+
+def test_cli_closes_input_files(tmp_path):
+    path = write(tmp_path, "ja.lts", JA_TEXT)
+    src = os.path.dirname(os.path.dirname(ts.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "trisys.cli", "report", "--each", path, path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0
+    assert "ResourceWarning" not in proc.stderr
+
+
+# --- one analysis per report -------------------------------------------------------
+
+
+def _count_calls(monkeypatch, home, fn_name):
+    """Count calls of home.fn_name through every trisys module that binds it."""
+    original = getattr(home, fn_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "trisys" or name.startswith("trisys.")) and getattr(module, fn_name, None) is original:
+            monkeypatch.setattr(module, fn_name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        ((), JA_TEXT),
+        ((), NF3T_TEXT),
+        (("--mode", "restricted"), CONFINE_TEXT),
+        ((), UNADAPTED_TEXT),
+        (("--generic", "3"), NF3T_TEXT),
+        (("--generic", "2"), JA_TEXT),
+    ],
+    ids=["leibniz", "not-minimal", "restricted", "split-refused", "generic", "generic-refused"],
+)
+def test_report_parses_and_computes_the_ideal_once(tmp_path, monkeypatch, flags, text):
+    parses = _count_calls(monkeypatch, ts.fileformat, "parse_system")
+    ideals = _count_calls(monkeypatch, ts.jideal, "compute_jideal")
+    for json_flag in ((), ("--json",)):
+        parses.clear()
+        ideals.clear()
+        code, out, _ = run(["report", *json_flag, *flags, write(tmp_path, "t.lts", text)])
+        assert code in (0, 1) and out
+        assert (len(parses), len(ideals)) == (1, 1)
+
+
+def test_decompose_partitions_each_mode_once(tmp_path, monkeypatch):
+    partitions = _count_calls(monkeypatch, ts.connect, "partition")
+    path = write(tmp_path, "nf3t.lts", NF3T_TEXT)
+    for mode in ("literal", "restricted"):
+        partitions.clear()
+        code, _, _ = run(["decompose", "--mode", mode, path])
+        assert code == 0
+        assert [args[1] for args in partitions] == [mode, "restricted" if mode == "literal" else "literal"]
+
+
+_SECTION_KEYS = {
+    "jideal": ("rank", "rows", "generators", "rounds", "annihilation"),
+    "decompose": (
+        "mode", "classes", "components", "orthogonality", "ideals", "covers", "confinement_violations",
+        "modes_agree", "ok",
+    ),
+    "minimal": (
+        "mu_multiplicative", "mu_violation", "i_connected", "j_connected", "oracle_used", "verdict",
+        "counterexample_ideal",
+    ),
+}
+
+
+def _composed_report(name, text, args):
+    """report as composed from the other commands: a parse, an ideal and a split per section."""
+    code, doc = cli._cmd_verify(name, text, args)
+    doc["command"] = "report"
+    T = ts.parse_system(text)
+    doc["jideal"] = {k: cli._cmd_jideal(name, text, args)[1][k] for k in _SECTION_KEYS["jideal"]}
+    try:
+        S = cli._split_for(T, args)
+    except (ts.NotAdapted, ts.NotAdmissible, ts.NotLeibniz, ts.NotMultiplicative) as err:
+        doc["split"] = {"error": type(err).__name__, "message": str(err)}
+        return 1, doc
+    doc["split"] = {"mode": S.mode, "iset": list(S.iset), "jset": list(S.jset)}
+    dec_code, dec_doc = cli._cmd_decompose(name, text, args)
+    doc["decompose"] = {k: dec_doc[k] for k in _SECTION_KEYS["decompose"]}
+    min_doc = cli._cmd_minimal(name, text, args)[1]
+    doc["minimal"] = {k: min_doc[k] for k in _SECTION_KEYS["minimal"]}
+    return max(code, dec_code), doc
+
+
+def _report_outputs(argvs):
+    """Text and --json output of each report, or the error it raised."""
+    outputs = []
+    for argv in argvs:
+        for json_flag in ((), ("--json",)):
+            try:
+                outputs.append(run(["report", *json_flag, *argv]))
+            except ts.TriSysError as exc:
+                outputs.append(repr(exc))
+    return outputs
+
+
+def test_report_matches_composition_of_commands(tmp_path, monkeypatch):
+    rng = random.Random(53)
+    argvs = []
+    for n, T in enumerate(random_verified_corpus(61, 20, max_dim=7)):
+        path = write(tmp_path, f"v{n}.lts", ts.serialize_system(T))
+        iset = ",".join(map(str, ts.split_system(T).iset))
+        subset = ",".join(str(i) for i in range(1, T.dim + 1) if rng.random() < 0.4)
+        argvs += [[path], ["--mode", "restricted", path], ["--generic", iset, path], ["--generic", subset, path]]
+    for n, dim in enumerate((3, 4) * 3 + (5,)):
+        T = random_table(rng, dim, rng.randint(dim**2, dim**3 // 2))
+        path = write(tmp_path, f"d{n}.lts", ts.serialize_system(T))
+        argvs += [[path], ["--generic", str(rng.randint(1, dim)), path]]
+    for n, text in enumerate((JA_TEXT, JB_TEXT, NF3T_TEXT, UNADAPTED_TEXT, CONFINE_TEXT, BROKEN_TEXT)):
+        path = write(tmp_path, f"f{n}.lts", text)
+        argvs += [[path], ["--mode", "restricted", "--oracle-cap", "2", path], ["--family", "two", path]]
+    argvs.append(["--each", *(args[-1] for args in argvs[:12])])
+    one_analysis = _report_outputs(argvs)
+    monkeypatch.setitem(cli._HANDLERS, "report", _composed_report)
+    assert one_analysis == _report_outputs(argvs)
+    joined = "".join(map(str, one_analysis))
+    assert "error: NotAdapted" in joined and "error: NotAdmissible" in joined
+    assert "generic" in joined and "restricted" in joined

@@ -1,0 +1,133 @@
+"""The CLI's JSON writer against json.dumps(indent=2), byte for byte."""
+
+import io
+import json
+import random
+
+import pytest
+
+import trisys as ts
+from trisys import cli
+from trisys.system import DEFAULT_IDENTITY_CAP
+from conftest import random_broken_tables, random_table, random_verified_corpus
+
+COMMANDS = ("verify", "jideal", "split", "decompose", "minimal", "report")
+FLAGS = {
+    "verify": ((), ("--family", "two")),
+    "jideal": ((),),
+    "split": ((), ("--generic", "1")),
+    "decompose": ((), ("--mode", "restricted"), ("--generic", "1")),
+    "minimal": ((), ("--mode", "restricted"), ("--generic", "1")),
+    "report": ((), ("--mode", "restricted"), ("--generic", "1")),
+}
+TEXTS = (
+    "dim 3\nprod 1 1 1 = 1 * 3\n",  # nf3 lift: not minimal, mu violation
+    "dim 4\nprod 3 4 3 = 1 * 1\nprod 4 3 3 = 1 * 2\n",  # NotAdapted
+    "dim 3\nprod 3 1 2 = 1 * 3\n",  # restricted confinement violations
+    "dim 2\nlabel 1 x\nprod 1 2 1 = -3/6 * 2\nprod 2 1 1 = 1/2 * 2\n",
+)
+
+
+def _corpus_texts():
+    rng = random.Random(17)
+    systems = random_verified_corpus(23, 12, max_dim=6) + random_broken_tables(29, 8)
+    systems += [random_table(rng, d, d**3 // 2) for d in (2, 3, 4)]
+    return list(TEXTS) + [ts.serialize_system(T) for T in systems]
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    cli.run_command(argv, out=out, err=io.StringIO())
+    return out.getvalue()
+
+
+def _files(tmp_path):
+    paths = []
+    for n, text in enumerate(_corpus_texts()):
+        path = tmp_path / f"s{n}.lts"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_every_command_document_matches_json_dumps():
+    parser = cli._build_parser()
+    documents = 0
+    for n, text in enumerate(_corpus_texts()):
+        path = f"s{n}.lts"
+        for command in COMMANDS:
+            for flags in FLAGS[command]:
+                args = parser.parse_args([command, *flags, path])
+                if getattr(args, "cap", 0) is None:
+                    args.cap = DEFAULT_IDENTITY_CAP
+                try:
+                    _, doc = cli._HANDLERS[command](path, text, args)
+                except ts.TriSysError:
+                    continue  # error documents are covered through run_command below
+                assert cli._dumps(doc) == json.dumps(doc, indent=2)
+                documents += 1
+    assert documents > 200
+
+
+def test_cli_json_output_is_json_dumps_of_itself(tmp_path):
+    # json.loads keeps key order and every value type a document holds, so
+    # this compares the emitted bytes with json.dumps(indent=2) of the same
+    # document; it covers check-error documents and --each batch arrays
+    paths = _files(tmp_path)
+    lift = tmp_path / "nf3.lbr"
+    lift.write_text("dim 3\nbrk 1 1 = 1 * 2\nbrk 2 1 = 1 * 3\n", encoding="utf-8")
+    argvs = [[command, "--json", *flags, path] for path in paths for command in COMMANDS for flags in FLAGS[command]]
+    argvs.append(["lift-leibniz", "--json", str(lift)])
+    argvs += [[command, "--each", "--json", *paths] for command in COMMANDS]
+    errors = batches = 0
+    for argv in argvs:
+        out = _stdout(argv)
+        if not out:
+            continue  # usage errors write nothing to stdout
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n", argv
+        batches += isinstance(doc, list)
+        errors += any("error" in d for d in (doc if isinstance(doc, list) else [doc]))
+    assert batches == len(COMMANDS)
+    assert errors > 10
+
+
+_TEXT_POOL = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "ß", "中", " ", "\U0001f600", "\U00010348", "a", " ", "key"]
+
+
+def _random_str(rng):
+    return "".join(rng.choice(_TEXT_POOL) for _ in range(rng.randint(0, 6)))
+
+
+def _random_value(rng, depth=0):
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([0, -1, 1, 2**63, -(2**64) - 1, 10**30, -(10**40)]) + rng.randint(-3, 3)
+    if kind == 2:
+        return rng.randint(-(2**70), 2**70)
+    if kind in (3, 4, 5):
+        return _random_str(rng)
+    if kind in (6, 7):
+        items = [_random_value(rng, depth + 1) for _ in range(rng.choice([0, 0, 1, 3, 5]))]
+        return tuple(items) if kind == 7 else items
+    return {_random_str(rng): _random_value(rng, depth + 1) for _ in range(rng.choice([0, 0, 1, 3, 5]))}
+
+
+def test_random_nested_values_match_json_dumps():
+    rng = random.Random(41)
+    values = [_random_value(rng) for _ in range(3000)]
+    values += [[], {}, [[]], [{}], {"": {}}, {"a": []}, ((),), [[[]], {}], (), "", 0, True, None]
+    for value in values:
+        assert cli._dumps(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, [1, 2.0], {"a": {"b": frozenset()}}, {"a": [b"bytes"]}, {1: "int key"}],
+    ids=["float", "set", "nested-float", "nested-frozenset", "bytes", "int-key"],
+)
+def test_unsupported_values_raise_type_error(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
