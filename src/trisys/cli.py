@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import cache
 
 from .decompose import (
     DEFAULT_ORACLE_CAP,
@@ -31,7 +32,7 @@ from .errors import (
     TriSysError,
     ZeroCoefficient,
 )
-from .exactnum import basis_vector, rat_str, rowspace_from
+from .exactnum import basis_vector, rat_canon, rat_str, rowspace_from
 from .fileformat import (
     content_hash,
     parse_leibniz,
@@ -39,7 +40,7 @@ from .fileformat import (
     serialize_leibniz,
     serialize_system,
 )
-from .connect import partition
+from .connect import Partition, partition
 from .jideal import check_annihilation, compute_jideal, split_basis, split_system
 from .system import DEFAULT_IDENTITY_CAP, check_identities, lift_from_leibniz
 
@@ -108,19 +109,21 @@ def _split_for(T, args, witness=None):
 # --- report sections: built once per input and shared by the commands -------
 
 
+class _Violation(dict):
+    """One violation: {"identity": str, "tuple": nonempty tuple of ints, "residual": dict of str to str}."""
+    __slots__ = ()
+
+
 def _verify_section(T, args) -> tuple[int, dict]:
     report = check_identities(T, args.family, cap=args.cap)
+    text = cache(lambda n: rat_str(rat_canon(n, report.denominator)))  # one string per numerator
     section = {
         "family": report.checked,
         "multiplicative": True,
         "leibniz": report.ok,
         "violations": [
-            {
-                "identity": ident,
-                "tuple": list(tup),
-                "residual": {str(p + 1): rat_str(c) for p, c in enumerate(res) if c},
-            }
-            for ident, tup, res in report.violations
+            _Violation(identity=ident, tuple=tup, residual={str(m): text(n) for m, n in res})
+            for ident, tup, res in report.residuals
         ],
     }
     return (0 if report.ok else CHECK_FAILED), section
@@ -140,11 +143,11 @@ def _split_section(S) -> dict:
     return {"mode": S.mode, "iset": list(S.iset), "jset": list(S.jset)}
 
 
-def _decompose_section(S, args) -> tuple[int, dict]:
+def _decompose_section(S, args) -> tuple[int, dict, Partition]:
     report = check_decomposition(S, args.mode)
-    # the requested mode's classes are the components' indices, so
-    # modes_agree partitions only the other mode, after the requested one,
-    # which keeps the first InconsistentSplit raised
+    # the components' indices are the requested mode's partition (reused by
+    # the minimal section), so modes_agree partitions only the other mode,
+    # after the requested one, which keeps the first InconsistentSplit raised
     classes = tuple(comp.indices for comp in report.components)
     other = "restricted" if args.mode == "literal" else "literal"
     section = {
@@ -168,11 +171,11 @@ def _decompose_section(S, args) -> tuple[int, dict]:
         "modes_agree": classes == partition(S, other).classes,
         "ok": report.ok,
     }
-    return (0 if report.ok else CHECK_FAILED), section
+    return (0 if report.ok else CHECK_FAILED), section, Partition(classes, args.mode)
 
 
-def _minimal_section(S, args) -> dict:
-    verdict = is_minimal(S, args.mode, oracle_cap=args.oracle_cap)
+def _minimal_section(S, args, part=None) -> dict:
+    verdict = is_minimal(S, args.mode, oracle_cap=args.oracle_cap, part=part)
     return {
         "mu_multiplicative": verdict.mu_multiplicative,
         "mu_violation": str(verdict.mu_violation) if verdict.mu_violation else None,
@@ -208,7 +211,7 @@ def _cmd_split(name: str, text: str, args) -> tuple[int, dict]:
 def _cmd_decompose(name: str, text: str, args) -> tuple[int, dict]:
     T = parse_system(text)
     S = _split_for(T, args)
-    code, section = _decompose_section(S, args)
+    code, section, _ = _decompose_section(S, args)
     return code, {**_header("decompose", name, T), "mode": args.mode, "split_mode": S.mode, **section}
 
 
@@ -245,9 +248,9 @@ def _cmd_report(name: str, text: str, args) -> tuple[int, dict]:
         doc["split"] = {"error": type(err).__name__, "message": str(err)}
         return CHECK_FAILED, doc
     doc["split"] = _split_section(S)
-    dec_code, section = _decompose_section(S, args)
+    dec_code, section, part = _decompose_section(S, args)
     doc["decompose"] = {"mode": args.mode, **section}
-    doc["minimal"] = _minimal_section(S, args)
+    doc["minimal"] = _minimal_section(S, args, part)
     return max(code, dec_code), doc
 
 
@@ -414,6 +417,13 @@ def _dumps(obj, indent: str = "\n") -> str:
     and joins each container once.
     """
     inner = indent + "  "
+    if type(obj) is _Violation and obj["tuple"] and obj["residual"]:  # one format per record
+        deeper, sep = inner + "  ", "," + inner + "  "
+        residual = sep.join([_encode_str(k) + ": " + _encode_str(v) for k, v in obj["residual"].items()])
+        return (
+            f'{{{inner}"identity": {_encode_str(obj["identity"])},{inner}"tuple": [{deeper}{sep.join(map(str, obj["tuple"]))}'
+            f'{inner}],{inner}"residual": {{{deeper}{residual}{inner}}}{indent}}}'
+        )
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -233,7 +233,7 @@ def _oracle_counterexample(S: SplitSystem, cap: int) -> tuple[int, ...] | None:
 
 
 def is_minimal(
-    S: SplitSystem, mode: str = "literal", oracle_cap: int = DEFAULT_ORACLE_CAP
+    S: SplitSystem, mode: str = "literal", oracle_cap: int = DEFAULT_ORACLE_CAP, part: Partition | None = None
 ) -> MinimalityVerdict:
     """Minimality verdict.
 
@@ -241,9 +241,9 @@ def is_minimal(
     connectivity criterion (iset within one class and jset within one
     class).  Otherwise the criterion does not apply; up to the oracle cap
     the subset enumeration decides instead, beyond it the verdict is
-    criterion_inapplicable.
+    criterion_inapplicable.  `part` is partition(S, mode) if the caller has it.
     """
-    part = partition(S, mode)
+    part = part if part is not None and part.mode == mode else partition(S, mode)
     i_conn = len({part.class_of[i] for i in S.iset}) <= 1
     j_conn = len({part.class_of[j] for j in S.jset}) <= 1
     mu_ok, violation = mu_multiplicativity_check(S)

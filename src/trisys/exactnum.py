@@ -124,6 +124,8 @@ def _reduce(rows: tuple[Vector, ...], v: Vector) -> list[Fraction]:
 def span_insert(space: RowSpace, v: Vector) -> RowSpace:
     """Canonical row space of span(space ∪ {v}); rank grows by at most one."""
     _check_dim(space, v)
+    if space.rank == space.dim:
+        return space
     w = _reduce(space.rows, v)
     lead = next((p for p, c in enumerate(w) if c), None)
     if lead is None:

@@ -111,6 +111,8 @@ def ideal_closure(T: TripleSystem, seed: RowSpace) -> IdealWitness:
     while True:
         rounds += 1
         before = space.rank
+        if before == T.dim:  # a round that starts at full rank is the stable round: counted, not run
+            break
         for row in space.rows:
             for w in _slot_products(T, row):
                 space = span_insert(space, w)

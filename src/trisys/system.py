@@ -83,16 +83,34 @@ class BilinearTable:
         return {k: tuple(v) for k, v in out.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityReport:
-    """Outcome of an identity check; empty violations means all hold."""
+    """Outcome of an identity check; empty violations means all hold.
+
+    Residuals are held sparse, as (identity, tuple, ((target, n), ...)) with
+    targets ascending and n / denominator each nonzero coordinate.  The dense
+    violations are built when first read; reports compare by checked and them.
+    """
 
     checked: str
-    violations: tuple[tuple[str, tuple[int, ...], Vector], ...]
+    residuals: tuple[tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
+    dim: int
+    denominator: int = 1
+
+    @cached_property
+    def violations(self) -> tuple[tuple[str, tuple[int, ...], Vector], ...]:
+        exact = cache(lambda n: Fraction(n, self.denominator))  # one Fraction per numerator
+        return tuple((i, t, sparse_to_vector(self.dim, {m: exact(n) for m, n in r})) for i, t, r in self.residuals)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.residuals
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IdentityReport) and (self.checked, self.violations) == (other.checked, other.violations)
+
+    def __hash__(self) -> int:
+        return hash((self.checked, self.violations))
 
 
 def construct_system(dim: int, entries: Iterable[Sequence], labels=None) -> TripleSystem:
@@ -227,7 +245,10 @@ def check_identities(
 
     Multilinearity makes basis tuples sufficient.  Only nonzero terms are
     evaluated, so the cost follows their number, not dim**5; violations come
-    in (tuple, identity) order.  The dimension cap stays as a contract.
+    in (tuple, identity) order.  Residuals are returned sparse, as integers
+    over the common denominator scale**2 (scale clears the coefficients'
+    denominators); the dense vectors are built only when `violations` is
+    first read.  The dimension cap stays as a contract.
     """
     if family not in ("four", "two", "both"):
         raise ValueError(f"family must be 'four', 'two', or 'both', got {family!r}")
@@ -235,22 +256,17 @@ def check_identities(
         raise CapExceeded(
             f"dimension {T.dim} exceeds identity-check cap {cap}; raise the cap to force"
         )
-    idents: tuple[str, ...] = ()
-    if family in ("four", "both"):
-        idents += FOUR_FAMILY
-    if family in ("two", "both"):
-        idents += TWO_FAMILY
+    idents = {"four": FOUR_FAMILY, "two": TWO_FAMILY, "both": FOUR_FAMILY + TWO_FAMILY}[family]
     scale = math.lcm(*(c.denominator for c, _ in T.table.values()))
     joins = _joins(T, scale)
-    exact = cache(lambda n: Fraction(n, scale * scale))  # one Fraction per numerator
     found = []
     for ident in idents:
         for tup, scaled in _identity_residuals(IDENTITIES[ident], joins).items():
-            sparse = {m: exact(n) for m, n in scaled.items() if n}
+            sparse = tuple(sorted(p for p in scaled.items() if p[1]))
             if sparse:
-                found.append((ident, tup, sparse_to_vector(T.dim, sparse)))
+                found.append((ident, tup, sparse))
     found.sort(key=itemgetter(1))  # stable, so each tuple keeps the family's identity order
-    return IdentityReport(family, tuple(found))
+    return IdentityReport(family, tuple(found), T.dim, scale * scale)
 
 
 # --- bilinear brackets and the lift ----------------------------------------

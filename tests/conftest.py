@@ -428,7 +428,10 @@ def dense_check_identities(T, family="both"):
             sparse = _dense_residual(T, ident, *tup)
             if sparse:
                 violations.append((ident, tup, _dense_vector(T.dim, sparse)))
-    return ts.IdentityReport(family, tuple(violations))
+    residuals = tuple((i, t, tuple((p + 1, c) for p, c in enumerate(v) if c)) for i, t, v in violations)
+    report = ts.IdentityReport(family, residuals, T.dim)
+    vars(report)["violations"] = tuple(violations)  # the oracle's own vectors, not rebuilt from residuals
+    return report
 
 
 def dense_generator_items(T):

@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import trisys as ts
 from trisys import cli
 from trisys.cli import run_command
-from conftest import make_nf3_lift, random_table, random_verified_corpus
+from conftest import dense_check_identities, make_nf3_lift, random_broken_tables, random_table, random_verified_corpus
 
 JA_TEXT = "dim 2\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\n"
 JB_TEXT = (
@@ -475,6 +476,19 @@ def test_decompose_partitions_each_mode_once(tmp_path, monkeypatch):
         assert [args[1] for args in partitions] == [mode, "restricted" if mode == "literal" else "literal"]
 
 
+def test_report_partitions_each_mode_once(tmp_path, monkeypatch):
+    # the minimal section reuses the decomposition's partition of the requested mode
+    partitions = _count_calls(monkeypatch, ts.connect, "partition")
+    for text in (NF3T_TEXT, JA_TEXT, CONFINE_TEXT):
+        path = write(tmp_path, "t.lts", text)
+        for mode in ("literal", "restricted"):
+            for json_flag in ((), ("--json",)):
+                partitions.clear()
+                code, out, _ = run(["report", *json_flag, "--mode", mode, path])
+                assert code in (0, 1) and out
+                assert [args[1] for args in partitions] == [mode, "restricted" if mode == "literal" else "literal"]
+
+
 _SECTION_KEYS = {
     "jideal": ("rank", "rows", "generators", "rounds", "annihilation"),
     "decompose": (
@@ -541,3 +555,68 @@ def test_report_matches_composition_of_commands(tmp_path, monkeypatch):
     joined = "".join(map(str, one_analysis))
     assert "error: NotAdapted" in joined and "error: NotAdmissible" in joined
     assert "generic" in joined and "restricted" in joined
+
+
+# --- sparse violation residuals -------------------------------------------------------
+
+
+def _violation_corpus(name):
+    rng = random.Random(131)
+    if name == "broken":
+        return random_broken_tables(137, 12)
+    if name == "random":
+        return [random_table(rng, dim, rng.randint(1, dim**3)) for dim in (1, 2, 3, 4) for _ in range(3)]
+    if name == "full":
+        return [random_table(rng, dim, dim**3) for dim in (1, 2, 3, 4) for _ in range(2)]
+    coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 4), Fraction(7, 6))
+    return [random_table(rng, dim, rng.randint(dim, dim**3), coeffs) for dim in (2, 3, 4) for _ in range(3)]
+
+
+def _dense_violation_docs(T, family):
+    """The violations section as rendered from dense residual vectors."""
+    return [
+        {
+            "identity": ident,
+            "tuple": list(tup),
+            "residual": {str(p + 1): ts.rat_str(c) for p, c in enumerate(vec) if c},
+        }
+        for ident, tup, vec in dense_check_identities(T, family).violations
+    ]
+
+
+@pytest.mark.parametrize("corpus", ["broken", "random", "full", "rational"])
+def test_violation_documents_match_dense_rendering(tmp_path, corpus):
+    multi = fractional = 0
+    for n, T in enumerate(_violation_corpus(corpus)):
+        path = write(tmp_path, f"t{n}.lts", ts.serialize_system(T))
+        for family in ("four", "two", "both"):
+            expected = _dense_violation_docs(T, family)
+            for command in ("verify", "report"):
+                code, out, _ = run([command, "--json", "--family", family, path])
+                assert code == (1 if expected else 0)
+                doc = json.loads(out)
+                assert doc["violations"] == expected, (T, family, command)
+                assert doc["leibniz"] == (not expected)
+            for v in expected:
+                multi += len(v["residual"]) > 1
+                fractional += any("/" in c for c in v["residual"].values())
+    assert multi
+    if corpus == "rational":
+        assert fractional
+
+
+def test_cli_builds_no_dense_residual_vector(tmp_path, monkeypatch):
+    reports = []
+    original = ts.system.check_identities
+
+    def keep(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "check_identities", keep)
+    T = random_table(random.Random(139), 4, 30)
+    path = write(tmp_path, "dense.lts", ts.serialize_system(T))
+    for argv in (["verify", path], ["verify", "--json", path], ["report", "--json", path], ["report", path]):
+        assert run(argv)[0] == 1
+    assert len(reports) == 4 and all(report.residuals for report in reports)
+    assert not any("violations" in vars(report) for report in reports)

@@ -11,6 +11,7 @@ from conftest import (
     make_mutual_pair,
     make_nf3_lift,
     make_zero_system,
+    random_arbitrary_splits,
     random_split_systems,
     random_verified_corpus,
 )
@@ -328,3 +329,36 @@ def test_components_of_mu_multiplicative_systems_are_minimal():
             sub = ts.split_system(comp.subsystem)
             assert ts.mu_multiplicativity_check(sub)[0]
             assert ts.is_minimal(sub).verdict == "minimal"
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result, or the InconsistentSplit message."""
+    try:
+        return fn(*args, **kwargs)
+    except ts.InconsistentSplit as exc:
+        return f"InconsistentSplit: {exc}"
+
+
+def test_decomposition_partition_shared_with_is_minimal():
+    splits = random_split_systems(101, 40) + [split(T) for T in random_verified_corpus(103, 30, max_dim=7)]
+    splits += random_arbitrary_splits(107, 300)
+    shared = raised = 0
+    for S in splits:
+        for mode, other in (("literal", "restricted"), ("restricted", "literal")):
+            part = _outcome(ts.partition, S, mode)
+            report = _outcome(ts.check_decomposition, S, mode)
+            if isinstance(part, str):
+                # the decomposition's own partition raises first, with the same message
+                assert report == part
+                raised += 1
+                continue
+            shared_part = ts.Partition(tuple(comp.indices for comp in report.components), mode)
+            assert shared_part == part
+            alone = _outcome(ts.is_minimal, S, mode)
+            assert _outcome(ts.is_minimal, S, mode, part=shared_part) == alone
+            other_part = _outcome(ts.partition, S, other)
+            if not isinstance(other_part, str):
+                # a partition of the other mode is not taken for this one
+                assert _outcome(ts.is_minimal, S, mode, part=other_part) == alone
+            shared += 1
+    assert shared > 300 and raised > 100

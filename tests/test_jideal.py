@@ -241,3 +241,77 @@ def test_random_split_corpus_valid():
         )
         assert ts.is_ideal(S.sys, space)
         assert ts.check_annihilation(S.sys, space)
+
+
+# --- the full-rank exit of the closure ---------------------------------------------
+
+
+def _span_insert_without_exit(space, v):
+    """exactnum.span_insert without its full-rank exit: always reduces v."""
+    w = list(v)
+    for row in space.rows:
+        p = next(q for q, c in enumerate(row) if c)
+        if w[p]:
+            c = w[p]
+            w = [a - c * b for a, b in zip(w, row)]
+    lead = next((p for p, c in enumerate(w) if c), None)
+    if lead is None:
+        return space
+    new = tuple(c / w[lead] for c in w)
+    rows = [tuple(a - row[lead] * b for a, b in zip(row, new)) for row in space.rows] + [new]
+    rows.sort(key=lambda row: next(p for p, c in enumerate(row) if c))
+    return ts.RowSpace(space.dim, tuple(rows))
+
+
+def _closure_without_exit(T, seed):
+    """ideal_closure without its full-rank exit: every round is run, the stable one too."""
+    space, rounds = seed, 0
+    while True:
+        rounds += 1
+        before = space.rank
+        for row in space.rows:
+            for w in ts.jideal._slot_products(T, row):
+                space = _span_insert_without_exit(space, w)
+        if space.rank == before:
+            return ts.IdealWitness(space, (), rounds)
+
+
+def _closure_corpus(name):
+    rng = random.Random(79)
+    if name == "verified":
+        return random_verified_corpus(83, 15, max_dim=7)
+    if name == "broken":
+        return random_broken_tables(89, 15)
+    if name == "random":
+        return [S.sys for S in random_split_systems(97, 15)] + [
+            random_table(rng, dim, rng.randint(1, dim**3)) for dim in range(1, 6) for _ in range(3)
+        ]
+    if name == "full":
+        return [random_table(rng, dim, rng.randint(dim**2, dim**3)) for dim in range(2, 7) for _ in range(2)]
+    coeffs = (F(1, 2), F(-2, 3), F(3), F(-5, 4))
+    return [random_table(rng, dim, rng.randint(1, dim**3), coeffs) for dim in range(1, 7) for _ in range(2)]
+
+
+@pytest.mark.parametrize("corpus", ["verified", "broken", "random", "full", "rational"])
+def test_full_rank_exit_keeps_witnesses(corpus):
+    full_rank = 0
+    for T in _closure_corpus(corpus):
+        items = dense_generator_items(T)
+        generated = _closure_without_exit(T, ts.rowspace_from(T.dim, (v for _, v in items)))
+        expected = ts.IdealWitness(generated.subspace, tuple(k for k, _ in items), generated.closure_rounds)
+        assert ts.compute_jideal(T) == expected, T
+        full_rank += expected.subspace.rank == T.dim
+        seeds = [ts.RowSpace(T.dim), span_of(T.dim, 1), span_of(T.dim, *range(1, T.dim + 1))]
+        seeds.append(span_of(T.dim, *range(1, T.dim + 1, 2)))
+        for seed in seeds:
+            assert ts.ideal_closure(T, seed) == _closure_without_exit(T, seed), (T, seed)
+    if corpus in ("full", "rational"):
+        assert full_rank > 3
+
+
+def test_span_insert_at_full_rank_returns_the_space():
+    full = span_of(3, 1, 2, 3)
+    for v in ((F(1), F(-2), F(1, 3)), (F(0),) * 3):
+        assert ts.span_insert(full, v) is full
+    with pytest.raises(ts.DimensionError):
+        ts.span_insert(full, (F(1),) * 2)

@@ -3,13 +3,14 @@
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import trisys as ts
 from trisys import cli
 from trisys.system import DEFAULT_IDENTITY_CAP
-from conftest import random_broken_tables, random_table, random_verified_corpus
+from conftest import COEFFS, random_broken_tables, random_table, random_verified_corpus
 
 COMMANDS = ("verify", "jideal", "split", "decompose", "minimal", "report")
 FLAGS = {
@@ -131,3 +132,62 @@ def test_random_nested_values_match_json_dumps():
 def test_unsupported_values_raise_type_error(value):
     with pytest.raises(TypeError):
         cli._dumps(value)
+
+
+# --- violation records --------------------------------------------------------------
+
+_RATIONAL = (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 4), Fraction(7, 6))
+
+
+def _residual_tables():
+    """Dense failing tables, dim 3-6, with integer and with rational coefficients."""
+    rng = random.Random(151)
+    return [
+        random_table(rng, dim, rng.randint(dim**2 // 2, dim**2), coeffs)
+        for dim in (3, 4, 5, 6)
+        for coeffs in (COEFFS, _RATIONAL)
+    ]
+
+
+def test_violation_record_documents_match_json_dumps():
+    parser = cli._build_parser()
+    multi = negative = fractional = 0
+    for n, T in enumerate(_residual_tables()):
+        text, path = ts.serialize_system(T), f"r{n}.lts"
+        for command, family in (("verify", "four"), ("verify", "two"), ("report", "both")):
+            args = parser.parse_args([command, "--family", family, path])
+            args.cap = DEFAULT_IDENTITY_CAP
+            _, doc = cli._HANDLERS[command](path, text, args)
+            assert doc["violations"] and all(type(v) is cli._Violation for v in doc["violations"])
+            assert cli._dumps(doc) == json.dumps(doc, indent=2)
+            nested = [doc["violations"][:2], {"v": doc["violations"][-2:]}]
+            assert cli._dumps(nested) == json.dumps(nested, indent=2)
+            for v in doc["violations"]:
+                values = v["residual"].values()
+                multi += len(values) > 1
+                negative += any(c.startswith("-") for c in values)
+                fractional += any("/" in c for c in values)
+    assert multi and negative and fractional
+
+
+def _random_record(rng):
+    tup = [rng.choice([1, 7, -3, 0, 2**70, -(2**65)]) for _ in range(rng.choice([0, 1, 5]))]
+    return cli._Violation(
+        identity=_random_str(rng),
+        tuple=tuple(tup) if rng.random() < 0.5 else tup,
+        residual={_random_str(rng): _random_str(rng) for _ in range(rng.choice([0, 1, 2, 4]))},
+    )
+
+
+def test_hand_built_violation_records_match_json_dumps():
+    rng = random.Random(157)
+    values = []
+    for _ in range(500):
+        records = [_random_record(rng) for _ in range(rng.randint(0, 4))]
+        values += [records, {"violations": records, "x": [records]}, records[0] if records else {}]
+    values.append(cli._Violation(identity="four.1", tuple=(1, 2, 3, 4, 5), residual={"1": "-2", "3": "1/6"}))
+    for value in values:
+        assert cli._dumps(value) == json.dumps(value, indent=2), value
+    for bad in ({"identity": 1.5, "tuple": [1], "residual": {"1": "1"}}, {"identity": "a", "tuple": [1], "residual": {"1": 2.5}}):
+        with pytest.raises(TypeError):
+            cli._dumps([cli._Violation(bad)])

@@ -178,7 +178,26 @@ def _identity_corpus(name):
 def test_identities_match_dense_oracle(corpus):
     for T in _identity_corpus(corpus):
         for family in ("four", "two", "both"):
-            assert ts.check_identities(T, family) == dense_check_identities(T, family), (T, family)
+            report, oracle = ts.check_identities(T, family), dense_check_identities(T, family)
+            assert "violations" not in vars(report)  # built only when first read
+            # the sparse residuals, read over their denominator, are the oracle's nonzero coordinates
+            den = report.denominator
+            sparse = [(i, t, [(m, F(n, den)) for m, n in r]) for i, t, r in report.residuals]
+            assert sparse == [(i, t, [(p + 1, c) for p, c in enumerate(v) if c]) for i, t, v in oracle.violations]
+            assert report.ok == oracle.ok
+            assert report.violations == oracle.violations, (T, family)
+            assert report == oracle and hash(report) == hash(oracle), (T, family)
+
+
+def test_identity_report_builds_violations_from_residuals():
+    v = ("four.1", (1, 1, 1, 1, 1), vec(0, 2, F(-1, 3)))
+    report = ts.IdentityReport("four", (("four.1", (1, 1, 1, 1, 1), ((2, 12), (3, -2))),), 3, 6)
+    assert "violations" not in vars(report)
+    assert report.violations == (v,) and vars(report)["violations"] is report.violations
+    same = ts.IdentityReport("four", (("four.1", (1, 1, 1, 1, 1), ((2, F(2)), (3, F(-1, 3)))),), 3)
+    assert report == same and hash(report) == hash(same)
+    assert report != ts.IdentityReport("both", same.residuals, 3) and report != ("four", (v,))
+    assert not report.ok and ts.IdentityReport("two", (), 3).ok
 
 
 def test_identities_family_validation():
