@@ -48,6 +48,7 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 _INPUT_ERRORS = (
+    OSError,
     ParseError,
     ValueError,
     IndexError,
@@ -480,11 +481,6 @@ def run_command(argv, out=None, err=None) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            err.write(f"error: {exc}\n")
-            worst = max(worst, USAGE_ERROR)
-            continue
-        try:
             code, doc = handler(path, text, args)
         except _CHECK_ERRORS as exc:
             doc = {

@@ -10,7 +10,6 @@ triple systems via {x, y, z} = [[x, y], z].
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,45 +271,48 @@ def check_identities(
 # --- bilinear brackets and the lift ----------------------------------------
 
 
-def _bracket_basis(L: BilinearTable, i: int, j: int) -> Sparse:
-    out: Sparse = {}
-    for c, m in L.table.get((i, j), ()):
-        sparse_add(out, m, c)
-    return out
+def _compositions(L: BilinearTable) -> tuple[dict[Key, Sparse], dict[Key, Sparse]]:
+    """[[b_i,b_j],b_k] ("left") and [b_i,[b_j,b_k]] ("right") by triple (i, j, k).
 
-
-def _bracket_left(L: BilinearTable, v: Sparse, k: int) -> Sparse:
-    """[v, b_k] for a sparse vector v."""
-    out: Sparse = {}
-    for m, c in v.items():
-        for c2, t in L.table.get((m, k), ()):
-            sparse_add(out, t, c * c2)
-    return out
-
-
-def _bracket_right(L: BilinearTable, i: int, v: Sparse) -> Sparse:
-    """[b_i, v] for a sparse vector v."""
-    out: Sparse = {}
-    for m, c in v.items():
-        for c2, t in L.table.get((i, m), ()):
-            sparse_add(out, t, c * c2)
-    return out
+    Only triples where the target m of one key starts (left: key (m, k)) or
+    ends (right: key (i, m)) another key appear, so the cost follows these
+    joined key pairs, not dim**3.  A sum that cancels stays as an empty vector.
+    """
+    by_first: dict[int, list[tuple[int, tuple[Term, ...]]]] = {}
+    by_second: dict[int, list[tuple[int, tuple[Term, ...]]]] = {}
+    for (i, j), terms in L.table.items():
+        by_first.setdefault(i, []).append((j, terms))
+        by_second.setdefault(j, []).append((i, terms))
+    left: dict[Key, Sparse] = {}
+    right: dict[Key, Sparse] = {}
+    for (i, j), terms in L.table.items():
+        for c1, m in terms:
+            for k, outer in by_first.get(m, ()):
+                acc = left.setdefault((i, j, k), {})
+                for c2, t in outer:
+                    sparse_add(acc, t, c1 * c2)
+            for h, outer in by_second.get(m, ()):
+                acc = right.setdefault((h, i, j), {})
+                for c2, t in outer:
+                    sparse_add(acc, t, c1 * c2)
+    return left, right
 
 
 def check_leibniz(L: BilinearTable) -> tuple[Key, Vector] | None:
     """First basis triple violating [[x,y],z] = [[x,z],y] + [x,[y,z]], or None.
 
-    Bilinearity of every term makes basis triples sufficient.
+    Bilinearity of every term makes basis triples sufficient.  At (i, j, k)
+    the three terms can be nonzero only at a left key, a left key with its
+    last two slots swapped, or a right key of the composition join; every
+    other triple has a zero residual.  So scanning the sorted union of those
+    candidates finds the lexicographically first violation.
     """
-    indices = range(1, L.dim + 1)
-    for i, j, k in itertools.product(indices, repeat=3):
-        res: Sparse = {}
-        for m, c in _bracket_left(L, _bracket_basis(L, i, j), k).items():
-            sparse_add(res, m, c)
-        for m, c in _bracket_left(L, _bracket_basis(L, i, k), j).items():
-            sparse_add(res, m, -c)
-        for m, c in _bracket_right(L, i, _bracket_basis(L, j, k)).items():
-            sparse_add(res, m, -c)
+    left, right = _compositions(L)
+    for i, j, k in sorted({*left, *((i, k, j) for i, j, k in left), *right}):
+        res = dict(left.get((i, j, k), {}))
+        for term in (left.get((i, k, j), {}), right.get((i, j, k), {})):
+            for m, c in term.items():
+                sparse_add(res, m, -c)
         if res:
             return (i, j, k), sparse_to_vector(L.dim, res)
     return None
@@ -321,19 +323,15 @@ def lift_from_leibniz(L: BilinearTable) -> TripleSystem:
 
     The bracket must pass the Leibniz check and every lifted basis product
     must be a scaled basis vector, otherwise the multiplicative table does
-    not exist.
+    not exist.  Only the left keys of the composition join can be nonzero.
     """
     bad = check_leibniz(L)
     if bad is not None:
         raise NotLeibniz(bad[0])
     entries: list[Entry] = []
-    indices = range(1, L.dim + 1)
-    for i, j, k in itertools.product(indices, repeat=3):
-        w = _bracket_left(L, _bracket_basis(L, i, j), k)
-        if not w:
-            continue
+    for key, w in sorted(_compositions(L)[0].items()):
         if len(w) > 1:
-            raise NotMultiplicative((i, j, k), sparse_to_vector(L.dim, w))
-        ((m, c),) = w.items()
-        entries.append((i, j, k, c, m))
+            raise NotMultiplicative(key, sparse_to_vector(L.dim, w))
+        for m, c in w.items():  # at most one term; none when the sum cancels
+            entries.append(key + (c, m))
     return construct_system(L.dim, entries, labels=L.labels)

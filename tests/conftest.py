@@ -446,6 +446,56 @@ def dense_generator_items(T):
     return out
 
 
+# --- dense Leibniz references ----------------------------------------------------
+#
+# The library reads the candidate triples of the Leibniz check and the lift off
+# a join of the bracket keys.  These references bracket dense vectors at every
+# basis triple, so they share only the bracket table with the code they check.
+
+
+def _dense_bracket(L, u, v):
+    """[u, v] for dense coordinate vectors."""
+    acc = [Fraction(0)] * L.dim
+    for (i, j), terms in L.table.items():
+        if u[i - 1] and v[j - 1]:
+            for c, m in terms:
+                acc[m - 1] += u[i - 1] * v[j - 1] * c
+    return tuple(acc)
+
+
+def _dense_basis(dim, i):
+    return tuple(Fraction(int(p == i)) for p in range(1, dim + 1))
+
+
+def dense_check_leibniz(L):
+    """First basis triple, in lex order, with [[i,j],k] != [[i,k],j] + [i,[j,k]]."""
+    e = [None] + [_dense_basis(L.dim, i) for i in range(1, L.dim + 1)]
+    for i, j, k in itertools.product(range(1, L.dim + 1), repeat=3):
+        left = _dense_bracket(L, _dense_bracket(L, e[i], e[j]), e[k])
+        swap = _dense_bracket(L, _dense_bracket(L, e[i], e[k]), e[j])
+        right = _dense_bracket(L, e[i], _dense_bracket(L, e[j], e[k]))
+        res = tuple(x - y - z for x, y, z in zip(left, swap, right))
+        if any(res):
+            return (i, j, k), res
+    return None
+
+
+def dense_lift_from_leibniz(L):
+    """The lift {x,y,z} = [[x,y],z], checked and built at every basis triple."""
+    bad = dense_check_leibniz(L)
+    if bad is not None:
+        raise ts.NotLeibniz(bad[0])
+    e = [None] + [_dense_basis(L.dim, i) for i in range(1, L.dim + 1)]
+    entries = []
+    for i, j, k in itertools.product(range(1, L.dim + 1), repeat=3):
+        w = _dense_bracket(L, _dense_bracket(L, e[i], e[j]), e[k])
+        support = [m for m in range(1, L.dim + 1) if w[m - 1]]
+        if len(support) > 1:
+            raise ts.NotMultiplicative((i, j, k), w)
+        entries.extend((i, j, k, w[m - 1], m) for m in support)
+    return ts.construct_system(L.dim, entries, labels=L.labels)
+
+
 # --- dense connection references -----------------------------------------------
 #
 # The library reads every mu-step off the table entries in one scan.  These

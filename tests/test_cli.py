@@ -192,6 +192,27 @@ def test_missing_file_exit_two(tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [[], ["--json"], ["--each"], ["--json", "--each"]], ids=["text", "json", "each", "json-each"]
+)
+def test_undecodable_file_exit_two(tmp_path, flags):
+    bad = tmp_path / "bad.lts"
+    bad.write_bytes(b"dim 2\n\xff\n")
+    good = write(tmp_path, "ja.lts", JA_TEXT)
+    each = "--each" in flags
+    code, out, err = run(["verify", *flags, str(bad), *([good] if each else [])])
+    assert code == 2
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+    # --each carries on with the next file
+    _, good_out, _ = run(["verify", *(["--json"] if "--json" in flags else []), good])
+    if flags == ["--each"]:
+        assert out == f"== {bad} ==\n== {good} ==\n{good_out}"
+    elif each:
+        assert json.loads(out) == [json.loads(good_out)]
+    else:
+        assert out == ""
+
+
 def test_unknown_command_exit_two():
     code, _, _ = run(["frobnicate", "x.lts"])
     assert code == 2
@@ -409,6 +430,33 @@ def test_wide_sparse_file_finishes_quickly(tmp_path, command, text):
     assert code == 0, err
     assert "dim: 500" in out
     assert elapsed < 20, f"{command} on a dim-500 file took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize(
+    "text, code, expected",
+    [
+        ("dim 500\n", 0, "dim 500\n"),
+        (
+            "dim 500\nbrk 1 1 = 1 * 2\nbrk 2 1 = 1 * 3\nbrk 3 1 = 1 * 4\n",
+            0,
+            "dim 500\nprod 1 1 1 = 1 * 3\nprod 2 1 1 = 1 * 4\n",
+        ),
+        (
+            "dim 500\nbrk 400 400 = 1 * 400\n",
+            1,
+            "error: NotLeibniz: bracket fails the Leibniz identity at basis triple (400, 400, 400)\n",
+        ),
+    ],
+    ids=["empty", "nf-chain", "not-leibniz"],
+)
+def test_wide_bracket_lift_finishes_quickly(tmp_path, text, code, expected):
+    # the Leibniz check and the lift read their triples off joined bracket keys, not dim**3
+    path = write(tmp_path, "wide.brk", text)
+    start = time.perf_counter()
+    result = run(["lift-leibniz", path])
+    elapsed = time.perf_counter() - start
+    assert result == (code, expected, "")
+    assert elapsed < 20, f"lift-leibniz on a dim-500 bracket took {elapsed:.1f} s"
 
 
 def test_cli_closes_input_files(tmp_path):

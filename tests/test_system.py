@@ -6,7 +6,10 @@ import pytest
 
 import trisys as ts
 from conftest import (
+    COEFFS,
     dense_check_identities,
+    dense_check_leibniz,
+    dense_lift_from_leibniz,
     make_jacobson_a,
     make_jacobson_b,
     make_nf3_lift,
@@ -261,17 +264,90 @@ def test_lift_rejects_non_multiplicative():
     L = ts.construct_bilinear(
         3, [(1, 1, 1, 2), (2, 1, 1, 2), (2, 1, 1, 3)]
     )
-    if ts.check_leibniz(L) is None:
-        with pytest.raises(ts.NotMultiplicative):
-            ts.lift_from_leibniz(L)
-    else:
-        pytest.skip("fixture bracket no longer passes the precheck")
+    assert ts.check_leibniz(L) is None
+    with pytest.raises(ts.NotMultiplicative) as exc:
+        ts.lift_from_leibniz(L)
+    # [[e1,e1],e1] = [e2,e1] = e2 + e3
+    assert exc.value.witness == (1, 1, 1)
+    assert exc.value.value == vec(0, 1, 1)
 
 
 def test_lifts_are_leibniz_triple_systems():
     for L in random_brackets(29, 25):
         T = ts.lift_from_leibniz(L)
         assert ts.check_identities(T, "both").ok
+
+
+def _outcome(fn, L):
+    """Return value, or exception type with its witness and value."""
+    try:
+        return fn(L)
+    except (ts.NotLeibniz, ts.NotMultiplicative) as err:
+        return type(err), err.witness, getattr(err, "value", None)
+
+
+def _raw_brackets(seed, count, max_dim=5):
+    """Random brackets, mostly failing the Leibniz check, with multi-target keys."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, max_dim)
+        terms = rng.sample(
+            [(i, j, m) for i in range(1, dim + 1) for j in range(1, dim + 1) for m in range(1, dim + 1)],
+            min(rng.randint(0, 5), dim**3),
+        )
+        out.append(ts.construct_bilinear(dim, [(i, j, rng.choice(COEFFS), m) for i, j, m in terms]))
+    return out
+
+
+def _right_one_brackets(seed, count, max_dim=5):
+    """Brackets whose only keys are (i, 1), with targets among e_2..e_n.
+
+    Every such bracket passes the Leibniz check: [[e_i,e_1],e_1] cancels
+    against its own swap and no bracket has e_1 in its image.  Its lift often
+    has [[e_i,e_1],e_1] on several basis vectors, so NotMultiplicative is common.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dim = rng.randint(2, max_dim)
+        entries = [
+            (i, 1, rng.choice(COEFFS), m)
+            for i in range(1, dim + 1)
+            if rng.random() < 0.7
+            for m in range(2, dim + 1)
+            if rng.random() < 0.5
+        ]
+        out.append(ts.construct_bilinear(dim, entries))
+    return out
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        lambda: random_brackets(31, 150),
+        lambda: [make_nf_bracket(n) for n in range(1, 9)],
+        lambda: _raw_brackets(37, 400),
+        lambda: _right_one_brackets(41, 400),
+    ],
+    ids=["random-brackets", "nf-brackets", "raw-brackets", "right-one-brackets"],
+)
+def test_leibniz_check_and_lift_match_dense(corpus):
+    for L in corpus():
+        assert ts.check_leibniz(L) == dense_check_leibniz(L), L
+        assert _outcome(ts.lift_from_leibniz, L) == _outcome(dense_lift_from_leibniz, L), L
+
+
+def test_right_one_brackets_pass_the_check_and_often_fail_the_lift():
+    corpus = _right_one_brackets(41, 400)
+    assert all(ts.check_leibniz(L) is None for L in corpus)
+    failures = 0
+    for L in corpus:
+        try:
+            ts.lift_from_leibniz(L)
+        except ts.NotMultiplicative:
+            failures += 1
+    assert failures >= 100
 
 
 # --- package ------------------------------------------------------------------
