@@ -149,7 +149,7 @@ def _decompose_section(S, args) -> tuple[int, dict, Partition]:
     # the components' indices are the requested mode's partition (reused by
     # the minimal section), so modes_agree partitions only the other mode,
     # after the requested one, which keeps the first InconsistentSplit raised
-    classes = tuple(comp.indices for comp in report.components)
+    classes = tuple([comp.indices for comp in report.components])
     other = "restricted" if args.mode == "literal" else "literal"
     section = {
         "classes": [list(cls) for cls in classes],
@@ -391,18 +391,29 @@ _COMMAND_OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The `trisys` parser for argv, or with every command's sub-parser when argv is None.
+
+    When argv[0] names a command, only that command's sub-parser is built;
+    parsing reads no other, and the metavar spells the full command list,
+    so usage, error and help bytes are those of the full parser.  Every
+    other argv (none, an unknown command, a leading option, --help) gets the
+    full parser, whose errors name the positional "command" (the default
+    metavar).
+    """
     parser = argparse.ArgumentParser(
         prog="trisys",
         description="Exact computer algebra for triple systems with multiplicative bases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, options in _COMMAND_OPTIONS.items():
+    one = bool(argv) and argv[0] in _COMMAND_OPTIONS
+    metavar = "{" + ",".join(_COMMAND_OPTIONS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [argv[0]] if one else _COMMAND_OPTIONS:
         p = sub.add_parser(name)
         p.add_argument("files", nargs="+", metavar="FILE")
         p.add_argument("--each", action="store_true", help="process several files")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        for flag in options:
+        for flag in _COMMAND_OPTIONS[name]:
             p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
@@ -456,7 +467,8 @@ def run_command(argv, out=None, err=None) -> int:
     """Run one command; returns the exit code without calling sys.exit."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             args = parser.parse_args(argv)

@@ -293,7 +293,7 @@ class _UnionFind:
         groups: dict[int, list[int]] = {}
         for i in self.parent:
             groups.setdefault(self.find(i), []).append(i)
-        return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+        return tuple([tuple(sorted(g)) for _, g in sorted(groups.items())])
 
 
 def partition(S: SplitSystem, mode: str = "literal") -> Partition:

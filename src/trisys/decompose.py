@@ -103,8 +103,8 @@ def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry])
     return Component(
         cls,
         sub,
-        tuple(i for i in cls if i in S.in_i),
-        tuple(i for i in cls if i in S.in_j),
+        tuple([i for i in cls if i in S.in_i]),
+        tuple([i for i in cls if i in S.in_j]),
     )
 
 
@@ -163,7 +163,7 @@ def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionR
                 ortho[a][b] = False
     covered = sorted(i for comp in comps for i in comp.indices) == list(range(1, n + 1))
     report = DecompositionReport(
-        tuple(comps), tuple(map(tuple, ortho)), tuple(ideal_flags), covered, mode, violations
+        tuple(comps), tuple([tuple(row) for row in ortho]), tuple(ideal_flags), covered, mode, violations
     )
     if mode == "literal" and not report.ok:
         raise TheoremViolation("literal decomposition failed its own guarantees")

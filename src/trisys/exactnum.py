@@ -54,11 +54,20 @@ def zero_vector(dim: int) -> Vector:
     return (ZERO,) * dim
 
 
+# Tuples built on every call are built at their exact size, from a list.
+# tuple(<generator>) starts at 10 slots and grows by realloc, so it never
+# takes a tuple from CPython's free list of its final size, yet joins that
+# list when freed; the lists of sizes below 20 then fill (up to 2,000 each)
+# until a full collection clears them, and peak memory grows with them.
+
+
 def basis_vector(dim: int, index: int) -> Vector:
     """Standard basis vector for a 1-based index."""
     if not 1 <= index <= dim:
         raise IndexError(f"basis index {index} out of range 1..{dim}")
-    return tuple(ONE if p == index - 1 else ZERO for p in range(dim))
+    out = [ZERO] * dim
+    out[index - 1] = ONE
+    return tuple(out)
 
 
 Sparse = dict[int, Fraction]  # 1-based index -> nonzero coefficient
@@ -131,9 +140,9 @@ def span_insert(space: RowSpace, v: Vector) -> RowSpace:
     if lead is None:
         return space
     inv = ONE / w[lead]
-    new = tuple(inv * c for c in w)
+    new = tuple([inv * c for c in w])
     adjusted = [
-        tuple(a - row[lead] * b for a, b in zip(row, new)) if row[lead] else row
+        tuple([a - row[lead] * b for a, b in zip(row, new)]) if row[lead] else row
         for row in space.rows
     ]
     adjusted.append(new)

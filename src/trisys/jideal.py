@@ -126,7 +126,7 @@ def compute_jideal(T: TripleSystem) -> IdealWitness:
     items = _generator_items(T)
     seed = rowspace_from(T.dim, (vec for _, vec in items))
     closed = ideal_closure(T, seed)
-    return IdealWitness(closed.subspace, tuple(key for key, _ in items), closed.closure_rounds)
+    return IdealWitness(closed.subspace, tuple([key for key, _ in items]), closed.closure_rounds)
 
 
 def check_annihilation(T: TripleSystem, J: RowSpace) -> bool:
@@ -181,7 +181,7 @@ def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
     if not check_annihilation(T, J):
         raise NotAdmissible("ideal has a nonzero product in the second or third slot")
     inside = set(iset)
-    jset = tuple(i for i in range(1, T.dim + 1) if i not in inside)
+    jset = tuple([i for i in range(1, T.dim + 1) if i not in inside])
     return SplitSystem(T, tuple(sorted(iset)), jset, mode)
 
 

@@ -42,7 +42,7 @@ def _normalize_labels(dim: int, labels) -> tuple[str | None, ...]:
         for k in labels:
             if not 1 <= k <= dim:
                 raise IndexError(f"label index {k} out of range 1..{dim}")
-        return tuple(labels.get(i) for i in range(1, dim + 1))
+        return tuple([labels.get(i) for i in range(1, dim + 1)])
     out = tuple(labels)
     if len(out) != dim:
         raise DimensionError(f"expected {dim} labels, got {len(out)}")
@@ -307,14 +307,18 @@ def check_leibniz(L: BilinearTable) -> tuple[Key, Vector] | None:
     other triple has a zero residual.  So scanning the sorted union of those
     candidates finds the lexicographically first violation.
     """
-    left, right = _compositions(L)
+    return _first_violation(L.dim, *_compositions(L))
+
+
+def _first_violation(dim: int, left: dict[Key, Sparse], right: dict[Key, Sparse]) -> tuple[Key, Vector] | None:
+    """check_leibniz on one composition join, shared with the lift."""
     for i, j, k in sorted({*left, *((i, k, j) for i, j, k in left), *right}):
         res = dict(left.get((i, j, k), {}))
         for term in (left.get((i, k, j), {}), right.get((i, j, k), {})):
             for m, c in term.items():
                 sparse_add(res, m, -c)
         if res:
-            return (i, j, k), sparse_to_vector(L.dim, res)
+            return (i, j, k), sparse_to_vector(dim, res)
     return None
 
 
@@ -325,11 +329,12 @@ def lift_from_leibniz(L: BilinearTable) -> TripleSystem:
     must be a scaled basis vector, otherwise the multiplicative table does
     not exist.  Only the left keys of the composition join can be nonzero.
     """
-    bad = check_leibniz(L)
+    left, right = _compositions(L)
+    bad = _first_violation(L.dim, left, right)
     if bad is not None:
         raise NotLeibniz(bad[0])
     entries: list[Entry] = []
-    for key, w in sorted(_compositions(L)[0].items()):
+    for key, w in sorted(left.items()):
         if len(w) > 1:
             raise NotMultiplicative(key, sparse_to_vector(L.dim, w))
         for m, c in w.items():  # at most one term; none when the sum cancels

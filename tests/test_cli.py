@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -407,6 +408,119 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "leibniz: yes" in proc.stdout
+
+
+# --- argument parsing -------------------------------------------------------------
+
+# each flag's values, good ones first: (good, bad)
+_FLAG_VALUES = {
+    "--family": (("four", "two", "both"), ("three", "")),
+    "--cap": (("2", "12", "-1"), ("x", "")),
+    "--mode": (("literal", "restricted"), ("lit", "")),
+    "--oracle-cap": (("0", "5"), ("1.5",)),
+    "--generic": (("1", "2,1", "", "-", "9"), ("x",)),
+}
+_BARE_TOKENS = (
+    "--json", "--each", "--js", "--ea", "--mo", "--he", "--fam", "--c", "--o", "--gen", "-h", "--help",
+    "--", "-", "-x", "--unknown", "--json=1", "--each=", "extra",
+)
+_COMMAND_TOKENS = ("frobnicate", "rep", "ver", "lift", "deco", "", "Report", "report ", "-report")
+
+
+def _well_formed_argv(rng, files):
+    """A known command with some of its own flags, good values, and a file, or two with --each."""
+    command = rng.choice(tuple(cli._COMMAND_OPTIONS))
+    argv = [command]
+    for flag in rng.sample(cli._COMMAND_OPTIONS[command], rng.randint(0, len(cli._COMMAND_OPTIONS[command]))):
+        argv += [flag, rng.choice(_FLAG_VALUES[flag][0])]
+    argv += ["--json"] * (rng.random() < 0.4)
+    if rng.random() < 0.8:  # a file of the right kind: files[3] holds a bracket, files[:3] tables
+        files = files[3:4] * 2 if command == "lift-leibniz" else files[:3]
+    if rng.random() < 0.2:
+        return argv + ["--each", *rng.sample(files, 2)]
+    return argv + [rng.choice(files)]
+
+
+def _argv_corpus(rng, files, count):
+    """Random argument lists: known, unknown, prefix and empty commands, every flag with good and bad values."""
+    corpus = []
+    for _ in range(count):
+        if rng.random() < 0.35:
+            corpus.append(_well_formed_argv(rng, files))
+            continue
+        argv = []
+        if rng.random() < 0.1:  # an option before the command
+            argv.append(rng.choice(("-h", "--help", "--he", "--json", "--", "-x", "--mode")))
+        command = rng.choice(_COMMAND_TOKENS if rng.random() < 0.15 else tuple(cli._COMMAND_OPTIONS))
+        if rng.random() < 0.95:
+            argv.append(command)
+        own = cli._COMMAND_OPTIONS.get(command) or tuple(_FLAG_VALUES)
+        for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 4))):
+            r = rng.random()
+            if r < 0.5:
+                flag = rng.choice(own if rng.random() < 0.8 else tuple(_FLAG_VALUES))
+                value = rng.choice(_FLAG_VALUES[flag][rng.random() < 0.2])
+                argv += [f"{flag}={value}"] if rng.random() < 0.2 else [flag, value]
+            elif r < 0.7:
+                argv.append(rng.choice(_BARE_TOKENS))
+            else:
+                argv.append(rng.choice(files))
+        if rng.random() < 0.8:
+            argv.append(rng.choice(files))
+        corpus.append(argv)
+    return corpus
+
+
+def _kind(code, out, err):
+    if code == 0 and out.startswith("usage:"):
+        return "help"
+    if code == 2 and "usage:" in err:
+        return "usage error"
+    return "input error" if code == 2 else "run"
+
+
+def test_every_argv_gives_the_bytes_of_the_full_parser(tmp_path, monkeypatch):
+    # one command's sub-parser under the full parser's usage line parses and prints alike
+    files = [
+        write(tmp_path, name, text)
+        for name, text in (
+            ("ja.lts", JA_TEXT), ("nf3t.lts", NF3T_TEXT), ("bad.lts", BROKEN_TEXT),
+            ("nf3.brk", NF3_BRK_TEXT), ("syntax.lts", "dim 2\nprod 1 2 = 1\n"),
+        )
+    ] + [str(tmp_path / "absent.lts")]
+    argvs = _argv_corpus(random.Random(71), files, 2500)
+    narrowed = [run(argv) for argv in argvs]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
+    for argv, got in zip(argvs, narrowed):
+        assert got == run(argv), argv
+    kinds = [_kind(*result) for result in narrowed]
+    counts = {kind: kinds.count(kind) for kind in ("help", "usage error", "input error", "run")}
+    assert min(counts.values()) >= 100, counts
+    assert {code for code, _, _ in narrowed} == {0, 1, 2}
+
+
+def test_run_command_reads_sys_argv_by_default(tmp_path, monkeypatch):
+    path = write(tmp_path, "ja.lts", JA_TEXT)
+    for argv in (["report", "--json", path], ["verify", "--each", path, path], ["rep", path], [], ["-h"]):
+        expected = run(argv)
+        monkeypatch.setattr(sys, "argv", ["trisys", *argv])
+        assert run(None) == expected
+
+
+def test_report_builds_one_sub_parser(tmp_path, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser", lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw)
+    )
+    path = write(tmp_path, "ja.lts", JA_TEXT)
+    assert run(["report", path])[0] == 0
+    assert added == ["report"]
+    monkeypatch.setattr(sys, "argv", ["trisys", "report", path])
+    added.clear()
+    assert run(None)[0] == 0
+    assert added == ["report"]
 
 
 # --- robustness ------------------------------------------------------------------

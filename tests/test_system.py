@@ -350,6 +350,29 @@ def test_right_one_brackets_pass_the_check_and_often_fail_the_lift():
     assert failures >= 100
 
 
+@pytest.mark.parametrize(
+    "entries, outcome",
+    [
+        ([(1, 1, 1, 2), (2, 1, 1, 3)], None),
+        ([(1, 1, 1, 1)], ts.NotLeibniz),
+        ([(1, 1, 1, 2), (2, 1, 1, 2), (2, 1, 1, 3)], ts.NotMultiplicative),
+    ],
+    ids=["lifts", "not-leibniz", "not-multiplicative"],
+)
+def test_lift_joins_the_bracket_keys_once(monkeypatch, entries, outcome):
+    # the lift's own Leibniz check reads the same composition join as the lift
+    original = ts.system._compositions
+    calls = []
+    monkeypatch.setattr(ts.system, "_compositions", lambda L: calls.append(L) or original(L))
+    L = ts.construct_bilinear(3, entries)
+    result = _outcome(ts.lift_from_leibniz, L)
+    assert (result[0] if outcome else None) == outcome
+    assert len(calls) == 1
+    calls.clear()
+    ts.check_leibniz(L)
+    assert len(calls) == 1
+
+
 # --- package ------------------------------------------------------------------
 
 
