@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from collections.abc import Sequence
 from functools import cache
 
 from .decompose import (
@@ -110,22 +111,31 @@ def _split_for(T, args, witness=None):
 # --- report sections: built once per input and shared by the commands -------
 
 
-class _Violation(dict):
-    """One violation: {"identity": str, "tuple": nonempty tuple of ints, "residual": dict of str to str}."""
-    __slots__ = ()
+class _Violations(Sequence):
+    """An identity report's violations as {"identity", "tuple", "residual"} records, built when read."""
+    __slots__ = ("residuals", "text")
+
+    def __init__(self, residuals, denominator: int):
+        self.residuals = residuals
+        self.text = cache(lambda n: rat_str(rat_canon(n, denominator)))  # one string per numerator
+
+    def __len__(self) -> int:
+        return len(self.residuals)
+
+    def __getitem__(self, index):
+        many = isinstance(index, slice)
+        rows = self.residuals[index] if many else [self.residuals[index]]
+        records = [{"identity": i, "tuple": t, "residual": {str(m): self.text(n) for m, n in r}} for i, t, r in rows]
+        return records if many else records[0]
 
 
 def _verify_section(T, args) -> tuple[int, dict]:
     report = check_identities(T, args.family, cap=args.cap)
-    text = cache(lambda n: rat_str(rat_canon(n, report.denominator)))  # one string per numerator
     section = {
         "family": report.checked,
         "multiplicative": True,
         "leibniz": report.ok,
-        "violations": [
-            _Violation(identity=ident, tuple=tup, residual={str(m): text(n) for m, n in res})
-            for ident, tup, res in report.residuals
-        ],
+        "violations": _Violations(report.residuals, report.denominator),
     }
     return (0 if report.ok else CHECK_FAILED), section
 
@@ -285,14 +295,13 @@ def _render_verify(doc: dict) -> list[str]:
     lines.append(f"family: {doc['family']}")
     lines.append(f"multiplicative: {_fmt_bool(doc['multiplicative'])}")
     lines.append(f"leibniz: {_fmt_bool(doc['leibniz'])}")
-    lines.append(f"violations: {len(doc['violations'])}")
-    for v in doc["violations"][:_MAX_TEXT_VIOLATIONS]:
+    violations = doc["violations"]
+    lines.append(f"violations: {len(violations)}")
+    for v in violations[:_MAX_TEXT_VIOLATIONS]:  # the only records built for text output
         residual = " ".join(f"{i}={c}" for i, c in v["residual"].items())
-        tup = ",".join(str(t) for t in v["tuple"])
-        lines.append(f"violation: {v['identity']} ({tup}) -> {residual}")
-    hidden = len(doc["violations"]) - _MAX_TEXT_VIOLATIONS
-    if hidden > 0:
-        lines.append(f"... {hidden} more violations")
+        lines.append(f"violation: {v['identity']} ({','.join(map(str, v['tuple']))}) -> {residual}")
+    if len(violations) > _MAX_TEXT_VIOLATIONS:
+        lines.append(f"... {len(violations) - _MAX_TEXT_VIOLATIONS} more violations")
     return lines
 
 
@@ -429,13 +438,6 @@ def _dumps(obj, indent: str = "\n") -> str:
     and joins each container once.
     """
     inner = indent + "  "
-    if type(obj) is _Violation and obj["tuple"] and obj["residual"]:  # one format per record
-        deeper, sep = inner + "  ", "," + inner + "  "
-        residual = sep.join([_encode_str(k) + ": " + _encode_str(v) for k, v in obj["residual"].items()])
-        return (
-            f'{{{inner}"identity": {_encode_str(obj["identity"])},{inner}"tuple": [{deeper}{sep.join(map(str, obj["tuple"]))}'
-            f'{inner}],{inner}"residual": {{{deeper}{residual}{inner}}}{indent}}}'
-        )
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -446,21 +448,24 @@ def _dumps(obj, indent: str = "\n") -> str:
             for k, v in obj.items()
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, _Violations)):
         if not obj:
             return "[]"
-        items = [_encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner) for v in obj]
+        if type(obj) is _Violations:  # one string per record, from residuals with nonempty pairs
+            key, item = inner + "  ", inner + "    "
+            sep, text, name = "," + item, obj.text, cache(_encode_str)
+            pair = cache(lambda p: f'"{p[0]}": "{text(p[1])}"')  # one string per (target, numerator)
+            items = [
+                f'{{{key}"identity": {name(ident)},{key}"tuple": [{item}{a}{sep}{b}{sep}{c}{sep}{d}{sep}{f}{key}],'
+                f'{key}"residual": {{{item}{sep.join(map(pair, res))}{key}}}{inner}}}'
+                for ident, (a, b, c, d, f), res in obj.residuals
+            ]
+        else:
+            items = [_encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, (str, int, type(None))):  # bool is an int
         return json.dumps(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _emit(out, args, code: int, doc: dict) -> None:
-    if args.json:
-        out.write(_dumps(doc) + "\n")
-    else:
-        out.write("\n".join(_RENDERERS[doc["command"]](doc)) + "\n")
 
 
 def run_command(argv, out=None, err=None) -> int:
@@ -495,27 +500,20 @@ def run_command(argv, out=None, err=None) -> int:
                 text = fh.read()
             code, doc = handler(path, text, args)
         except _CHECK_ERRORS as exc:
-            doc = {
-                "command": args.command,
-                "file": path,
-                "error": {"kind": type(exc).__name__, "message": str(exc)},
-            }
-            if batch is not None:
-                batch.append(doc)
-            elif args.json:
-                out.write(_dumps(doc) + "\n")
-            else:
-                out.write(f"error: {type(exc).__name__}: {exc}\n")
-            worst = max(worst, CHECK_FAILED)
-            continue
+            error = {"kind": type(exc).__name__, "message": str(exc)}
+            code, doc = CHECK_FAILED, {"command": args.command, "file": path, "error": error}
         except _INPUT_ERRORS as exc:
             err.write(f"error: {exc}\n")
             worst = max(worst, USAGE_ERROR)
             continue
         if batch is not None:
             batch.append(doc)
+        elif args.json:
+            out.write(_dumps(doc) + "\n")
+        elif "error" in doc:  # a check that could not run
+            out.write(f"error: {doc['error']['kind']}: {doc['error']['message']}\n")
         else:
-            _emit(out, args, code, doc)
+            out.write("\n".join(_RENDERERS[doc["command"]](doc)) + "\n")
         worst = max(worst, code)
     if batch is not None:
         out.write(_dumps(batch) + "\n")

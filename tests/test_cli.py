@@ -722,6 +722,9 @@ def test_report_matches_composition_of_commands(tmp_path, monkeypatch):
 # --- sparse violation residuals -------------------------------------------------------
 
 
+_RATIONAL = (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 4), Fraction(7, 6))
+
+
 def _violation_corpus(name):
     rng = random.Random(131)
     if name == "broken":
@@ -730,8 +733,7 @@ def _violation_corpus(name):
         return [random_table(rng, dim, rng.randint(1, dim**3)) for dim in (1, 2, 3, 4) for _ in range(3)]
     if name == "full":
         return [random_table(rng, dim, dim**3) for dim in (1, 2, 3, 4) for _ in range(2)]
-    coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 4), Fraction(7, 6))
-    return [random_table(rng, dim, rng.randint(dim, dim**3), coeffs) for dim in (2, 3, 4) for _ in range(3)]
+    return [random_table(rng, dim, rng.randint(dim, dim**3), _RATIONAL) for dim in (2, 3, 4) for _ in range(3)]
 
 
 def _dense_violation_docs(T, family):
@@ -782,3 +784,68 @@ def test_cli_builds_no_dense_residual_vector(tmp_path, monkeypatch):
         assert run(argv)[0] == 1
     assert len(reports) == 4 and all(report.residuals for report in reports)
     assert not any("violations" in vars(report) for report in reports)
+
+
+def test_json_report_builds_no_violation_records(tmp_path, monkeypatch):
+    # --json writes the records straight from the residuals; the text
+    # renderer builds only the records it prints, with one slice
+    reads = []
+    original = cli._Violations.__getitem__
+
+    def counted(self, index):
+        reads.append((index, original(self, index)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(cli._Violations, "__getitem__", counted)
+    T = random_table(random.Random(139), 4, 30)
+    path = write(tmp_path, "dense.lts", ts.serialize_system(T))
+    for argv in (["verify", "--json", path], ["report", "--json", path], ["report", "--each", "--json", path, path]):
+        assert run(argv)[0] == 1
+    assert reads == []
+    for argv in (["verify", path], ["report", path]):
+        reads.clear()
+        code, out, _ = run(argv)
+        assert code == 1 and "more violations" in out
+        assert len(reads) == 1 and isinstance(reads[0][0], slice) and len(reads[0][1]) == cli._MAX_TEXT_VIOLATIONS
+
+
+# --- text truncation of the violation list ---------------------------------------------
+
+_TRUNCATION_TABLES = (
+    JA_TEXT,  # a Leibniz system: no violations
+    "dim 3\nprod 1 3 2 = -1 * 3\n",  # --family two: 1 violation
+    "dim 3\nprod 1 3 2 = 2 * 2\nprod 3 1 3 = 2 * 1\n",  # --family both: 20
+    "dim 3\nprod 2 3 2 = -2 * 2\nprod 3 2 3 = 2 * 2\n",  # --family four: 21
+    ts.serialize_system(random_table(random.Random(163), 5, 60)),  # thousands
+    ts.serialize_system(random_table(random.Random(163), 5, 60, _RATIONAL)),  # thousands, rational residuals
+)
+
+
+def _dense_verify_lines(T, family):
+    """The text verify section's violation lines, rendered from dense residual vectors."""
+    docs = _dense_violation_docs(T, family)
+    lines = [f"violations: {len(docs)}"]
+    for v in docs[: cli._MAX_TEXT_VIOLATIONS]:
+        residual = " ".join(f"{m}={c}" for m, c in v["residual"].items())
+        lines.append(f"violation: {v['identity']} ({','.join(map(str, v['tuple']))}) -> {residual}")
+    if len(docs) > cli._MAX_TEXT_VIOLATIONS:
+        lines.append(f"... {len(docs) - cli._MAX_TEXT_VIOLATIONS} more violations")
+    return lines
+
+
+def test_text_violation_list_is_truncated_after_twenty(tmp_path):
+    counts = set()
+    for n, text in enumerate(_TRUNCATION_TABLES):
+        path = write(tmp_path, f"t{n}.lts", text)
+        for family in ("four", "two", "both"):
+            expected = _dense_verify_lines(ts.parse_system(text), family)
+            counts.add(int(expected[0].split()[1]))
+            for command, after in (("verify", []), ("report", ["[jideal]"])):
+                code, out, _ = run([command, "--family", family, path])
+                lines = out.splitlines()
+                start = lines.index(expected[0])
+                assert lines[start:start + len(expected) + len(after)] == expected + after, (text, family, command)
+                assert command == "report" or start + len(expected) == len(lines)
+                assert code == 1 or expected == ["violations: 0"]
+    assert {0, 1, 20, 21} <= counts and max(counts) > 1000
+    assert "/" in run(["verify", path])[1]  # the last table's printed residuals include fractions

@@ -9,6 +9,7 @@ import pytest
 
 import trisys as ts
 from trisys import cli
+from trisys.system import IDENTITIES
 from trisys.system import DEFAULT_IDENTITY_CAP
 from conftest import COEFFS, random_broken_tables, random_table, random_verified_corpus
 
@@ -65,7 +66,7 @@ def test_every_command_document_matches_json_dumps():
                     _, doc = cli._HANDLERS[command](path, text, args)
                 except ts.TriSysError:
                     continue  # error documents are covered through run_command below
-                assert cli._dumps(doc) == json.dumps(doc, indent=2)
+                assert cli._dumps(doc) == json.dumps(doc, indent=2, default=list)
                 documents += 1
     assert documents > 200
 
@@ -136,6 +137,7 @@ def test_unsupported_values_raise_type_error(value):
 
 # --- violation records --------------------------------------------------------------
 
+_IDENTITY_NAMES = tuple(IDENTITIES)
 _RATIONAL = (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-5, 4), Fraction(7, 6))
 
 
@@ -158,8 +160,8 @@ def test_violation_record_documents_match_json_dumps():
             args = parser.parse_args([command, "--family", family, path])
             args.cap = DEFAULT_IDENTITY_CAP
             _, doc = cli._HANDLERS[command](path, text, args)
-            assert doc["violations"] and all(type(v) is cli._Violation for v in doc["violations"])
-            assert cli._dumps(doc) == json.dumps(doc, indent=2)
+            assert doc["violations"] and type(doc["violations"]) is cli._Violations
+            assert cli._dumps(doc) == json.dumps(doc, indent=2, default=list)
             nested = [doc["violations"][:2], {"v": doc["violations"][-2:]}]
             assert cli._dumps(nested) == json.dumps(nested, indent=2)
             for v in doc["violations"]:
@@ -170,24 +172,31 @@ def test_violation_record_documents_match_json_dumps():
     assert multi and negative and fractional
 
 
-def _random_record(rng):
-    tup = [rng.choice([1, 7, -3, 0, 2**70, -(2**65)]) for _ in range(rng.choice([0, 1, 5]))]
-    return cli._Violation(
-        identity=_random_str(rng),
-        tuple=tuple(tup) if rng.random() < 0.5 else tup,
-        residual={_random_str(rng): _random_str(rng) for _ in range(rng.choice([0, 1, 2, 4]))},
+def _random_violations(rng):
+    """A _Violations over random sparse residuals: every identity name, 1-5 targets, big and negative ints."""
+    ints = (1, 7, -3, 0, 12, 2**70, -(2**65))
+    residuals = tuple(
+        (
+            rng.choice(_IDENTITY_NAMES),
+            tuple(rng.choice(ints) for _ in range(5)),
+            tuple((m, rng.choice((1, -1, 5, -36, 2**80, -(3**50)))) for m in sorted(rng.sample(range(1, 2**40), rng.randint(1, 5)))),
+        )
+        for _ in range(rng.choice((0, 1, 2, 5)))
     )
+    return cli._Violations(residuals, rng.choice((1, 1, 6, 36, 2**64)))
 
 
 def test_hand_built_violation_records_match_json_dumps():
     rng = random.Random(157)
-    values = []
+    names = set()
     for _ in range(500):
-        records = [_random_record(rng) for _ in range(rng.randint(0, 4))]
-        values += [records, {"violations": records, "x": [records]}, records[0] if records else {}]
-    values.append(cli._Violation(identity="four.1", tuple=(1, 2, 3, 4, 5), residual={"1": "-2", "3": "1/6"}))
-    for value in values:
-        assert cli._dumps(value) == json.dumps(value, indent=2), value
-    for bad in ({"identity": 1.5, "tuple": [1], "residual": {"1": "1"}}, {"identity": "a", "tuple": [1], "residual": {"1": 2.5}}):
-        with pytest.raises(TypeError):
-            cli._dumps([cli._Violation(bad)])
+        seq = _random_violations(rng)
+        names.update(ident for ident, _, _ in seq.residuals)
+        for value in (seq, {"violations": seq, "x": [seq]}, [[seq]]):
+            assert cli._dumps(value) == json.dumps(value, indent=2, default=list), value
+    assert names == set(_IDENTITY_NAMES)
+    empty = cli._Violations((), 1)
+    assert cli._dumps(empty) == "[]" and cli._dumps({"v": [empty]}) == json.dumps({"v": [[]]}, indent=2)
+    one = cli._Violations((("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 6)
+    assert list(one) == [{"identity": "four.1", "tuple": (1, 2, 3, 4, 5), "residual": {"1": "-2", "3": "1/6"}}]
+    assert cli._dumps({"v": one}) == json.dumps({"v": list(one)}, indent=2)
