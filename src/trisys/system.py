@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -203,51 +202,22 @@ FOUR_FAMILY = ("four.1", "four.2", "four.3", "four.4")
 TWO_FAMILY = ("two.1", "two.2")
 
 
-def _joins(T: TripleSystem, scale: int) -> list[list[tuple[Key, int, int, int, int]]]:
-    """joins[s]: every pair of entries, the first one's target in slot s of the second.
-
-    A pair is (first key, u, v, n, target) with u, v, target from the second
-    entry and n = scale**2 * c1 * c2, an integer as scale clears denominators.
-    """
-    scaled = [(key, c.numerator * (scale // c.denominator), t) for key, (c, t) in T.table.items()]
-    by_slot: tuple[dict[int, list[tuple[int, int, int, int]]], ...] = ({}, {}, {})
-    for (i, j, k), n, m in scaled:
-        by_slot[0].setdefault(i, []).append((j, k, n, m))
-        by_slot[1].setdefault(j, []).append((i, k, n, m))
-        by_slot[2].setdefault(k, []).append((i, j, n, m))
-    return [
-        [(key, u, v, n1 * n2, m) for key, n1, t in scaled for u, v, n2, m in index.get(t, ())]
-        for index in by_slot
-    ]
-
-
-def _identity_residuals(terms, joins) -> dict[tuple[int, ...], dict[int, int]]:
-    """Scaled residual of one identity at every 5-tuple with a nonzero term.
-
-    A term is nonzero only where its inner and outer triples are both keys,
-    that is on the pairs of joins[slot], placed by the term's positions.
-    """
-    out: dict[tuple[int, ...], dict[int, int]] = {}
-    for sign, slot, inner, outer in terms:
-        order = inner + outer
-        place = itemgetter(*(order.index(p) for p in range(5)))
-        for key, u, v, n, m in joins[slot]:
-            acc = out.setdefault(place(key + (u, v)), {})
-            acc[m] = acc.get(m, 0) + sign * n
-    return out
-
-
 def check_identities(
     T: TripleSystem, family: str = "both", cap: int = DEFAULT_IDENTITY_CAP
 ) -> IdentityReport:
     """Report every violated identity instance on basis 5-tuples.
 
-    Multilinearity makes basis tuples sufficient.  Only nonzero terms are
-    evaluated, so the cost follows their number, not dim**5; violations come
-    in (tuple, identity) order.  Residuals are returned sparse, as integers
-    over the common denominator scale**2 (scale clears the coefficients'
-    denominators); the dense vectors are built only when `violations` is
-    first read.  The dimension cap stays as a contract.
+    Multilinearity makes basis tuples sufficient.  A term is nonzero only
+    where its inner and outer triples are both keys, that is on the pairs of
+    entries whose first target sits in the term's slot of the second, so the
+    cost follows their number, not dim**5.  Every scaled contribution is
+    added under one integer that spells (a, b, c, d, f, identity, target) in
+    mixed radix R = dim + 1, so one sort of the nonzero cells puts the
+    violations in (tuple, identity) order with targets ascending.  Residuals
+    are returned sparse, as integers over the common denominator scale**2
+    (scale clears the coefficients' denominators); the dense vectors are
+    built only when `violations` is first read.  The dimension cap stays as
+    a contract.
     """
     if family not in ("four", "two", "both"):
         raise ValueError(f"family must be 'four', 'two', or 'both', got {family!r}")
@@ -257,14 +227,56 @@ def check_identities(
         )
     idents = {"four": FOUR_FAMILY, "two": TWO_FAMILY, "both": FOUR_FAMILY + TWO_FAMILY}[family]
     scale = math.lcm(*(c.denominator for c, _ in T.table.values()))
-    joins = _joins(T, scale)
+    scaled = [(i, j, k, c.numerator * (scale // c.denominator), t) for i, j, k, c, t in T.entries]
+    R, K = T.dim + 1, len(idents)
+    weight = [K * R ** (5 - p) for p in range(5)]  # of the 5-tuple positions a..f
+    by_slot: tuple[dict[int, list[tuple[int, int, int, int]]], ...] = ({}, {}, {})
+    for i, j, k, n, m in scaled:
+        by_slot[0].setdefault(i, []).append((j, k, n, m))
+        by_slot[1].setdefault(j, []).append((i, k, n, m))
+        by_slot[2].setdefault(k, []).append((i, j, n, m))
+    seconds: dict[tuple[int, tuple[int, ...]], dict[int, list[tuple[int, int]]]] = {}
+    acc: dict[int, int] = {}
+    get = acc.get
+    for at, ident in enumerate(idents):
+        for sign, slot, inner, outer in IDENTITIES[ident]:
+            # second entries by slot value, as (code of outer positions and target, n)
+            index = seconds.get((slot, outer))
+            if index is None:
+                w, v = (weight[p] for p in outer)
+                index = seconds[slot, outer] = {
+                    t: [(u * w + y * v + m, n) for u, y, n, m in rows] for t, rows in by_slot[slot].items()
+                }
+            wi, wj, wk = (weight[p] for p in inner)
+            for i, j, k, n1, t in scaled:
+                codes = index.get(t)
+                if codes:
+                    base = i * wi + j * wj + k * wk + at * R
+                    n1 *= sign
+                    for low, n2 in codes:
+                        key = base + low
+                        acc[key] = get(key, 0) + n1 * n2
+    # one sort of the nonzero cells; each 5-tuple is decoded once, for all its identities
     found = []
-    for ident in idents:
-        for tup, scaled in _identity_residuals(IDENTITIES[ident], joins).items():
-            sparse = tuple(sorted(p for p in scaled.items() if p[1]))
-            if sparse:
-                found.append((ident, tup, sparse))
-    found.sort(key=itemgetter(1))  # stable, so each tuple keeps the family's identity order
+    head = last = -1
+    pairs: list[tuple[int, int]] = []
+    for key in sorted([key for key, n in acc.items() if n]):
+        cell = key // R
+        if cell != head:
+            if pairs:
+                found.append((idents[at], tup, tuple(pairs)))
+                pairs = []
+            head = cell
+            code, at = divmod(cell, K)
+            if code != last:
+                last = code
+                q, f = divmod(code, R)
+                q, d = divmod(q, R)
+                q, c = divmod(q, R)
+                tup = (*divmod(q, R), c, d, f)
+        pairs.append((key - cell * R, acc[key]))
+    if pairs:
+        found.append((idents[at], tup, tuple(pairs)))
     return IdentityReport(family, tuple(found), T.dim, scale * scale)
 
 

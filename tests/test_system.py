@@ -23,6 +23,7 @@ from conftest import (
 )
 
 F = Fraction
+FOUR, TWO = ts.system.FOUR_FAMILY, ts.system.TWO_FAMILY
 
 
 def vec(*nums):
@@ -162,6 +163,10 @@ def test_identities_cap():
     assert ts.check_identities(T, cap=13).ok
 
 
+# rational coefficients exercise the common-denominator arithmetic
+_RATIONAL = (F(1, 2), F(-2, 3), F(3), F(-5, 4))
+
+
 def _identity_corpus(name):
     if name == "verified":
         return random_verified_corpus(61, 12)
@@ -169,15 +174,18 @@ def _identity_corpus(name):
         return random_broken_tables(67, 12)
     if name == "random":
         return [S.sys for S in random_split_systems(71, 12)]
+    if name.startswith("dense"):
+        # report-dense-shaped: dim**2 to dim**3/2 entries, where most 5-tuples are live
+        rng = random.Random(79 if name == "dense" else 83)
+        coeffs = _RATIONAL if name == "dense-rational" else COEFFS
+        return [random_table(rng, dim, rng.randint(dim**2, dim**3 // 2), coeffs) for dim in (5, 6) for _ in range(2)]
     rng = random.Random(73)
     if name == "full":
         return [random_table(rng, dim, dim**3) for dim in (1, 2, 3, 4) for _ in range(2)]
-    # rational coefficients exercise the common-denominator arithmetic
-    coeffs = (F(1, 2), F(-2, 3), F(3), F(-5, 4))
-    return [random_table(rng, dim, rng.randint(1, dim**3), coeffs) for dim in (1, 2, 3, 4)]
+    return [random_table(rng, dim, rng.randint(1, dim**3), _RATIONAL) for dim in (1, 2, 3, 4)]
 
 
-@pytest.mark.parametrize("corpus", ["verified", "broken", "random", "full", "rational"])
+@pytest.mark.parametrize("corpus", ["verified", "broken", "random", "full", "rational", "dense", "dense-rational"])
 def test_identities_match_dense_oracle(corpus):
     for T in _identity_corpus(corpus):
         for family in ("four", "two", "both"):
@@ -190,6 +198,32 @@ def test_identities_match_dense_oracle(corpus):
             assert report.ok == oracle.ok
             assert report.violations == oracle.violations, (T, family)
             assert report == oracle and hash(report) == hash(oracle), (T, family)
+
+
+@pytest.mark.parametrize("coeffs", [COEFFS, _RATIONAL], ids=["integer", "rational"])
+@pytest.mark.parametrize("dim", [12, 13, 20])
+def test_identities_keep_order_in_wide_radix(dim, coeffs):
+    # a broken dim-4 table placed on four scattered indices of a wider basis:
+    # every term reads all five tuple positions, so the residuals are the small
+    # table's, relabelled, and must come back in the wide (tuple, identity) order
+    rng = random.Random(dim)
+    small = random_table(rng, 4, 24, coeffs)
+    place = dict(zip(range(1, 5), [dim, *rng.sample(range(1, dim), 3)]))  # the top digit is used
+    assert sorted(place.values()) != list(place.values())
+    wide = ts.construct_system(dim, [(place[i], place[j], place[k], c, place[m]) for i, j, k, c, m in small.entries])
+    for family, idents in (("four", FOUR), ("two", TWO), ("both", FOUR + TWO)):
+        want = ts.check_identities(small, family)
+        assert want == dense_check_identities(small, family)
+        got = ts.check_identities(wide, family, cap=dim)
+        assert any(len(r) > 1 for _, _, r in want.residuals)  # targets to order within a residual
+        moved = [
+            (ident, tuple(place[p] for p in tup), tuple(sorted((place[m], n) for m, n in r)))
+            for ident, tup, r in want.residuals
+        ]
+        moved.sort(key=lambda v: (v[1], idents.index(v[0])))
+        assert got.residuals == tuple(moved) and got.denominator == want.denominator
+        for _, _, r in got.residuals:
+            assert all(m1 < m2 for (m1, _), (m2, _) in zip(r, r[1:])) and all(n for _, n in r)
 
 
 def test_identity_report_builds_violations_from_residuals():
