@@ -52,6 +52,7 @@ _INPUT_ERRORS = (
     OSError,
     ParseError,
     ValueError,
+    OverflowError,
     IndexError,
     ZeroDivisionError,
     DuplicateEntry,
@@ -400,29 +401,20 @@ _COMMAND_OPTIONS = {
 }
 
 
-def _build_parser(argv=None) -> argparse.ArgumentParser:
-    """The `trisys` parser for argv, or with every command's sub-parser when argv is None.
-
-    When argv[0] names a command, only that command's sub-parser is built;
-    parsing reads no other, and the metavar spells the full command list,
-    so usage, error and help bytes are those of the full parser.  Every
-    other argv (none, an unknown command, a leading option, --help) gets the
-    full parser, whose errors name the positional "command" (the default
-    metavar).
-    """
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The `trisys` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="trisys",
         description="Exact computer algebra for triple systems with multiplicative bases.",
     )
-    one = bool(argv) and argv[0] in _COMMAND_OPTIONS
-    metavar = "{" + ",".join(_COMMAND_OPTIONS) + "}" if one else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [argv[0]] if one else _COMMAND_OPTIONS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, flags in _COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("files", nargs="+", metavar="FILE")
         p.add_argument("--each", action="store_true", help="process several files")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        for flag in _COMMAND_OPTIONS[name]:
+        for flag in flags:
             p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
@@ -473,10 +465,9 @@ def run_command(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else USAGE_ERROR
     if hasattr(args, "cap") and args.cap is None:

@@ -214,6 +214,18 @@ def test_undecodable_file_exit_two(tmp_path, flags):
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, "huge.lts") for command in ("verify", "jideal", "split", "decompose", "minimal", "report")]
+    + [("lift-leibniz", "huge.brk")],
+)
+def test_huge_dim_exit_two(tmp_path, command, name):
+    # a dim past the index range ends in one error line, not a traceback
+    code, out, err = run([command, write(tmp_path, name, "dim 99999999999999999999\n")])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
 def test_unknown_command_exit_two():
     code, _, _ = run(["frobnicate", "x.lts"])
     assert code == 2
@@ -480,7 +492,7 @@ def _kind(code, out, err):
 
 
 def test_every_argv_gives_the_bytes_of_the_full_parser(tmp_path, monkeypatch):
-    # one command's sub-parser under the full parser's usage line parses and prints alike
+    # the parser shared across calls keeps no state between them: a fresh one per call prints alike
     files = [
         write(tmp_path, name, text)
         for name, text in (
@@ -489,15 +501,14 @@ def test_every_argv_gives_the_bytes_of_the_full_parser(tmp_path, monkeypatch):
         )
     ] + [str(tmp_path / "absent.lts")]
     argvs = _argv_corpus(random.Random(71), files, 2500)
-    narrowed = [run(argv) for argv in argvs]
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
-    for argv, got in zip(argvs, narrowed):
+    shared = [run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    for argv, got in zip(argvs, shared):
         assert got == run(argv), argv
-    kinds = [_kind(*result) for result in narrowed]
+    kinds = [_kind(*result) for result in shared]
     counts = {kind: kinds.count(kind) for kind in ("help", "usage error", "input error", "run")}
     assert min(counts.values()) >= 100, counts
-    assert {code for code, _, _ in narrowed} == {0, 1, 2}
+    assert {code for code, _, _ in shared} == {0, 1, 2}
 
 
 def test_run_command_reads_sys_argv_by_default(tmp_path, monkeypatch):
@@ -508,19 +519,33 @@ def test_run_command_reads_sys_argv_by_default(tmp_path, monkeypatch):
         assert run(None) == expected
 
 
-def test_report_builds_one_sub_parser(tmp_path, monkeypatch):
+def test_parser_is_built_once(tmp_path, monkeypatch):
     added = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(
         argparse._SubParsersAction, "add_parser", lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw)
     )
+    cli._build_parser.cache_clear()
     path = write(tmp_path, "ja.lts", JA_TEXT)
     assert run(["report", path])[0] == 0
-    assert added == ["report"]
-    monkeypatch.setattr(sys, "argv", ["trisys", "report", path])
+    assert added == list(cli._COMMAND_OPTIONS)
     added.clear()
+    assert run(["verify", path])[0] == 0
+    monkeypatch.setattr(sys, "argv", ["trisys", "report", path])
     assert run(None)[0] == 0
-    assert added == ["report"]
+    assert added == []
+
+
+def test_help_follows_the_terminal_width_under_the_shared_parser(monkeypatch):
+    outputs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = run(["report", "-h"])
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            assert run(["report", "-h"]) == got
+        outputs.append(got)
+    assert outputs[0][0] == 0 and outputs[0] != outputs[1]
 
 
 # --- robustness ------------------------------------------------------------------
