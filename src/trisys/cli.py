@@ -15,6 +15,8 @@ import os
 import sys
 from collections.abc import Sequence
 from functools import cache
+from itertools import chain, compress, islice
+from operator import add, ne
 
 from .decompose import (
     DEFAULT_ORACLE_CAP,
@@ -113,21 +115,79 @@ def _split_for(T, args, witness=None):
 
 
 class _Violations(Sequence):
-    """An identity report's violations as {"identity", "tuple", "residual"} records, built when read."""
-    __slots__ = ("residuals", "text")
+    """An identity report's violations as {"identity", "tuple", "residual"} records.
 
-    def __init__(self, residuals, denominator: int):
-        self.residuals = residuals
-        self.text = cache(lambda n: rat_str(rat_canon(n, denominator)))  # one string per numerator
+    Records are decoded from the report's cells only when read: a slice from
+    the start decodes just its records, any other index all the report's
+    residuals.  `json` writes the whole list straight from the cells.
+    """
+    __slots__ = ("report", "text", "scan")
+
+    def __init__(self, report):
+        self.report = report
+        self.text = cache(lambda n: rat_str(rat_canon(n, report.denominator)))  # one string per numerator
+        self.scan = None
+
+    def _starts(self) -> tuple[list[bool], list[int]]:
+        """Whether each cell starts a record (its key // R is not the last key's), and each record's key // R."""
+        if self.scan is None:
+            R, _, keys, _ = self.report._cells
+            cells = list(map(R.__rfloordiv__, keys))
+            starts = [True, *map(ne, cells[1:], cells)] if cells else []
+            self.scan = starts, list(compress(cells, starts))
+        return self.scan
 
     def __len__(self) -> int:
-        return len(self.residuals)
+        return len(self._starts()[1])
 
     def __getitem__(self, index):
         many = isinstance(index, slice)
-        rows = self.residuals[index] if many else [self.residuals[index]]
+        if many and index.start is None and index.step is None and (index.stop or 0) >= 0:
+            rows = islice(self.report._records(), index.stop)  # decode only the records asked for
+        else:
+            rows = self.report.residuals[index] if many else [self.report.residuals[index]]
         records = [{"identity": i, "tuple": t, "residual": {str(m): self.text(n) for m, n in r}} for i, t, r in rows]
         return records if many else records[0]
+
+    def json(self, indent: str) -> str:
+        """The records as _dumps writes a list at this indent, in one pass over the cells.
+
+        A record is written as its opening (the identity head, the 5-tuple
+        and the residual's brace) and its (target, numerator) strings.  The
+        openings are assembled from strings built once per identity, per
+        (a, b, c, d) and per f, and each (target, numerator) string is built
+        once.
+        """
+        R, idents, keys, nums = self.report._cells
+        K, text = len(idents), self.text
+        inner = indent + "  "
+        key, item = inner + "  ", inner + "    "
+        sep, end = "," + item, f"{key}}}{inner}}}"  # end closes a record's residual and the record
+        close = end + "," + inner
+        heads = [f'{close}{{{key}"identity": {_encode_str(name)},{key}"tuple": [{item}' for name in idents]
+
+        @cache
+        def abcd(code: int) -> str:
+            q, d = divmod(code, R)
+            q, c = divmod(q, R)
+            return "{}{sep}{}{sep}{}{sep}{}".format(*divmod(q, R), c, d, sep=sep)
+
+        @cache
+        def last(f: int) -> str:  # f and what follows the 5-tuple up to the first pair
+            return f'{sep}{f}{key}],{key}"residual": {{{item}'
+
+        @cache
+        def pair(n, m: int) -> str:
+            return f'"{m}": "{text(n)}"'
+
+        starts, cells = self._starts()
+        codes = list(map(K.__rfloordiv__, cells))  # the 5-tuples
+        tuples = map(add, map(abcd, map(R.__rfloordiv__, codes)), map(last, map(R.__rmod__, codes)))
+        opens = map(add, map(heads.__getitem__, map(K.__rmod__, cells)), tuples)
+        glue = [next(opens) if start else sep for start in starts]  # what comes before each cell's pair
+        glue[0] = "[" + inner + glue[0][len(close) :]
+        pairs = map(pair, nums, map(R.__rmod__, keys))
+        return "".join(chain.from_iterable(zip(glue, pairs))) + end + indent + "]"
 
 
 def _verify_section(T, args) -> tuple[int, dict]:
@@ -136,7 +196,7 @@ def _verify_section(T, args) -> tuple[int, dict]:
         "family": report.checked,
         "multiplicative": True,
         "leibniz": report.ok,
-        "violations": _Violations(report.residuals, report.denominator),
+        "violations": _Violations(report),
     }
     return (0 if report.ok else CHECK_FAILED), section
 
@@ -443,17 +503,9 @@ def _dumps(obj, indent: str = "\n") -> str:
     if isinstance(obj, (list, tuple, _Violations)):
         if not obj:
             return "[]"
-        if type(obj) is _Violations:  # one string per record, from residuals with nonempty pairs
-            key, item = inner + "  ", inner + "    "
-            sep, text, name = "," + item, obj.text, cache(_encode_str)
-            pair = cache(lambda p: f'"{p[0]}": "{text(p[1])}"')  # one string per (target, numerator)
-            items = [
-                f'{{{key}"identity": {name(ident)},{key}"tuple": [{item}{a}{sep}{b}{sep}{c}{sep}{d}{sep}{f}{key}],'
-                f'{key}"residual": {{{item}{sep.join(map(pair, res))}{key}}}{inner}}}'
-                for ident, (a, b, c, d, f), res in obj.residuals
-            ]
-        else:
-            items = [_encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner) for v in obj]
+        if type(obj) is _Violations:
+            return obj.json(indent)
+        items = [_encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, (str, int, type(None))):  # bool is an int
         return json.dumps(obj)

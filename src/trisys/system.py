@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -81,19 +82,76 @@ class BilinearTable:
         return {k: tuple(v) for k, v in out.items()}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IdentityReport:
-    """Outcome of an identity check; empty violations means all hold.
+    """Outcome of an identity check; ok when every identity instance holds.
 
-    Residuals are held sparse, as (identity, tuple, ((target, n), ...)) with
-    targets ascending and n / denominator each nonzero coordinate.  The dense
-    violations are built when first read; reports compare by checked and them.
+    A report keeps its check's nonzero cells: ascending integer keys that
+    spell (a, b, c, d, f, identity, target), the identity digit in radix
+    len(identities) and the others in radix R = dim + 1, and numerators over
+    `denominator`.  `residuals`, as (identity, tuple, ((target, n), ...)), and
+    the dense `violations` are decoded from the cells when first read.  Built
+    by hand from residuals, a report encodes them into cells once, in their
+    order; each (identity, tuple) may appear once, with at least one target,
+    and tuple entries and targets are positive.  Reports compare by checked
+    and violations.
     """
 
     checked: str
-    residuals: tuple[tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
     dim: int
-    denominator: int = 1
+    denominator: int
+
+    def __init__(self, checked: str, residuals, dim: int, denominator: int = 1):
+        residuals = tuple(residuals)
+        digits = [x for _, tup, pairs in residuals for x in (*tup, *(m for m, _ in pairs))]
+        if min(digits, default=1) < 1 or not all(pairs for _, _, pairs in residuals):
+            raise ValueError("a residual needs a target, and its indices must be positive")
+        idents = tuple(dict.fromkeys(ident for ident, _, _ in residuals))
+        R, K = max([dim, *digits]) + 1, len(idents)
+        keys, nums = [], []
+        for ident, (a, b, c, d, f), pairs in residuals:
+            cell = (((((a * R + b) * R + c) * R + d) * R + f) * K + idents.index(ident)) * R
+            keys += [cell + m for m, _ in pairs]
+            nums += [n for _, n in pairs]
+        if len({key // R for key in keys}) != len(residuals):
+            raise ValueError("an (identity, tuple) has two residuals")
+        # the given residuals are kept, so they are not decoded again
+        cells = (R, idents, keys, nums)
+        vars(self).update(checked=checked, dim=dim, denominator=denominator, _cells=cells, residuals=residuals)
+
+    @classmethod
+    def _from_cells(cls, checked: str, dim: int, denominator: int, idents: tuple[str, ...], keys: list, nums: list):
+        report = cls.__new__(cls)
+        vars(report).update(checked=checked, dim=dim, denominator=denominator, _cells=(dim + 1, idents, keys, nums))
+        return report
+
+    def _records(self):
+        """The residuals in cell order; each 5-tuple is decoded once, for all its identities."""
+        R, idents, keys, nums = self._cells
+        K = len(idents)
+        head = last = -1
+        pairs: list[tuple[int, int]] = []
+        for key, n in zip(keys, nums):
+            cell = key // R
+            if cell != head:
+                if pairs:
+                    yield idents[at], tup, tuple(pairs)
+                    pairs = []
+                head = cell
+                code, at = divmod(cell, K)
+                if code != last:
+                    last = code
+                    q, f = divmod(code, R)
+                    q, d = divmod(q, R)
+                    q, c = divmod(q, R)
+                    tup = (*divmod(q, R), c, d, f)
+            pairs.append((key - cell * R, n))
+        if pairs:
+            yield idents[at], tup, tuple(pairs)
+
+    @cached_property
+    def residuals(self) -> tuple[tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+        return tuple(self._records())
 
     @cached_property
     def violations(self) -> tuple[tuple[str, tuple[int, ...], Vector], ...]:
@@ -102,7 +160,7 @@ class IdentityReport:
 
     @property
     def ok(self) -> bool:
-        return not self.residuals
+        return not self._cells[2]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IdentityReport) and (self.checked, self.violations) == (other.checked, other.violations)
@@ -200,6 +258,10 @@ IDENTITIES: dict[str, tuple[IdentityTerm, ...]] = {
 }
 FOUR_FAMILY = ("four.1", "four.2", "four.3", "four.4")
 TWO_FAMILY = ("two.1", "two.2")
+# identity -> an identity with the same terms; checked together, the first copies the second's cells
+SAME_TERMS = {"two.2": "four.3"}  # two.2 is four.3 with its last two terms swapped
+if any(sorted(IDENTITIES[copy]) != sorted(IDENTITIES[source]) for copy, source in SAME_TERMS.items()):
+    raise AssertionError(f"the identities paired in {SAME_TERMS} no longer have the same terms")
 
 
 def check_identities(
@@ -213,11 +275,13 @@ def check_identities(
     cost follows their number, not dim**5.  Every scaled contribution is
     added under one integer that spells (a, b, c, d, f, identity, target) in
     mixed radix R = dim + 1, so one sort of the nonzero cells puts the
-    violations in (tuple, identity) order with targets ascending.  Residuals
-    are returned sparse, as integers over the common denominator scale**2
-    (scale clears the coefficients' denominators); the dense vectors are
-    built only when `violations` is first read.  The dimension cap stays as
-    a contract.
+    violations in (tuple, identity) order with targets ascending.  Checking
+    both families, two.2 is not joined: it has four.3's terms, so its cells
+    are four.3's, moved to its own identity digit.  The report keeps the
+    sorted cells, with numerators over the common denominator scale**2
+    (scale clears the coefficients' denominators); its residuals and dense
+    violations are decoded only when first read.  The dimension cap stays
+    as a contract.
     """
     if family not in ("four", "two", "both"):
         raise ValueError(f"family must be 'four', 'two', or 'both', got {family!r}")
@@ -238,7 +302,11 @@ def check_identities(
     seconds: dict[tuple[int, tuple[int, ...]], dict[int, list[tuple[int, int]]]] = {}
     acc: dict[int, int] = {}
     get = acc.get
+    copies = {source: copy for copy, source in SAME_TERMS.items() if copy in idents and source in idents}
     for at, ident in enumerate(idents):
+        if ident in copies.values():
+            continue  # its cells are copied from its source's
+        first = len(acc)  # the cells this identity adds are the dict's last ones
         for sign, slot, inner, outer in IDENTITIES[ident]:
             # second entries by slot value, as (code of outer positions and target, n)
             index = seconds.get((slot, outer))
@@ -256,28 +324,11 @@ def check_identities(
                     for low, n2 in codes:
                         key = base + low
                         acc[key] = get(key, 0) + n1 * n2
-    # one sort of the nonzero cells; each 5-tuple is decoded once, for all its identities
-    found = []
-    head = last = -1
-    pairs: list[tuple[int, int]] = []
-    for key in sorted([key for key, n in acc.items() if n]):
-        cell = key // R
-        if cell != head:
-            if pairs:
-                found.append((idents[at], tup, tuple(pairs)))
-                pairs = []
-            head = cell
-            code, at = divmod(cell, K)
-            if code != last:
-                last = code
-                q, f = divmod(code, R)
-                q, d = divmod(q, R)
-                q, c = divmod(q, R)
-                tup = (*divmod(q, R), c, d, f)
-        pairs.append((key - cell * R, acc[key]))
-    if pairs:
-        found.append((idents[at], tup, tuple(pairs)))
-    return IdentityReport(family, tuple(found), T.dim, scale * scale)
+        if ident in copies:
+            shift = (idents.index(copies[ident]) - at) * R  # to the copy's identity digit
+            acc.update({key + shift: n for key, n in islice(acc.items(), first, None)})
+    keys = sorted([key for key, n in acc.items() if n])
+    return IdentityReport._from_cells(family, T.dim, scale * scale, idents, keys, list(map(acc.__getitem__, keys)))
 
 
 # --- bilinear brackets and the lift ----------------------------------------

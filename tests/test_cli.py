@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import os
@@ -13,7 +14,15 @@ import pytest
 import trisys as ts
 from trisys import cli
 from trisys.cli import run_command
-from conftest import dense_check_identities, make_nf3_lift, random_broken_tables, random_table, random_verified_corpus
+from conftest import (
+    COEFFS,
+    dense_check_identities,
+    make_nf3_lift,
+    random_broken_tables,
+    random_split_systems,
+    random_table,
+    random_verified_corpus,
+)
 
 JA_TEXT = "dim 2\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\n"
 JB_TEXT = (
@@ -812,26 +821,126 @@ def test_cli_builds_no_dense_residual_vector(tmp_path, monkeypatch):
 
 
 def test_json_report_builds_no_violation_records(tmp_path, monkeypatch):
-    # --json writes the records straight from the residuals; the text
-    # renderer builds only the records it prints, with one slice
-    reads = []
-    original = cli._Violations.__getitem__
+    # --json writes the records straight from the identity cells and decodes
+    # no residual; the text renderer decodes only the records it prints, with
+    # one slice, and counts the rest without decoding them
+    reads, reports, decoded = [], [], []
+    original, check, records = cli._Violations.__getitem__, ts.system.check_identities, ts.IdentityReport._records
 
     def counted(self, index):
         reads.append((index, original(self, index)))
         return reads[-1][1]
 
+    def keep(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
     monkeypatch.setattr(cli._Violations, "__getitem__", counted)
+    monkeypatch.setattr(cli, "check_identities", keep)
+    monkeypatch.setattr(ts.IdentityReport, "_records", lambda self: (decoded.append(r) or r for r in records(self)))
     T = random_table(random.Random(139), 4, 30)
+    count = len(dense_check_identities(T).violations)
     path = write(tmp_path, "dense.lts", ts.serialize_system(T))
     for argv in (["verify", "--json", path], ["report", "--json", path], ["report", "--each", "--json", path, path]):
         assert run(argv)[0] == 1
-    assert reads == []
+    assert reads == [] and decoded == [] and len(reports) == 4
+    assert not any("residuals" in vars(report) or "violations" in vars(report) for report in reports)
+    assert all(len(cli._Violations(report)) == count for report in reports)
     for argv in (["verify", path], ["report", path]):
         reads.clear()
+        decoded.clear()
         code, out, _ = run(argv)
-        assert code == 1 and "more violations" in out
+        assert code == 1 and f"violations: {count}\n" in out and "more violations" in out
         assert len(reads) == 1 and isinstance(reads[0][0], slice) and len(reads[0][1]) == cli._MAX_TEXT_VIOLATIONS
+        assert len(decoded) == cli._MAX_TEXT_VIOLATIONS and "residuals" not in vars(reports[-1])
+
+
+# --- every written violation, replayed ----------------------------------------------
+#
+# Each identity is written out here as its terms, apart from the library's
+# identity table: (a, (b, c, d), f) is {b_a, {b_b, b_c, b_d}, b_f}.
+
+_REPLAY = {
+    "four.1": lambda a, b, c, d, f: [(1, (a, (b, c, d), f)), (1, (a, (c, b, d), f))],
+    "four.2": lambda a, b, c, d, f: [(1, (a, (b, c, d), f)), (1, (a, (c, d, b), f)), (1, (a, (d, b, c), f))],
+    "four.3": lambda a, b, c, d, f: [
+        (1, (a, b, (c, d, f))),
+        (-1, ((a, b, c), d, f)),
+        (1, ((a, b, d), c, f)),
+        (-1, ((a, b, f), d, c)),
+        (1, ((a, b, f), c, d)),
+    ],
+    "four.4": lambda a, b, c, d, f: [
+        (1, ((c, d, f), b, a)),
+        (-1, ((c, d, f), a, b)),
+        (-1, ((c, b, a), d, f)),
+        (1, ((c, a, b), d, f)),
+        (-1, (c, (a, b, d), f)),
+        (-1, (c, d, (a, b, f))),
+    ],
+    "two.1": lambda a, b, c, d, f: [
+        (1, (a, (b, c, d), f)),
+        (-1, ((a, b, c), d, f)),
+        (1, ((a, c, b), d, f)),
+        (1, ((a, d, b), c, f)),
+        (-1, ((a, d, c), b, f)),
+    ],
+    "two.2": lambda a, b, c, d, f: [
+        (1, (a, b, (c, d, f))),
+        (-1, ((a, b, c), d, f)),
+        (1, ((a, b, d), c, f)),
+        (1, ((a, b, f), c, d)),
+        (-1, ((a, b, f), d, c)),
+    ],
+}
+
+
+def _replayer(T):
+    """(identity, tuple) -> the identity evaluated on the basis 5-tuple with evaluate_product, as a record's residual."""
+    basis = [None, *(ts.basis_vector(T.dim, i) for i in range(1, T.dim + 1))]
+
+    @functools.cache
+    def product(*args):  # each argument a basis index or an index triple
+        return ts.evaluate_product(T, *(basis[x] if type(x) is int else product(*x) for x in args))
+
+    @functools.cache
+    def residual(ident, tup):
+        total = [Fraction(0)] * T.dim
+        for sign, term in _REPLAY[ident](*tup):
+            total = [s + sign * x for s, x in zip(total, product(*term))]
+        return {str(p + 1): ts.rat_str(c) for p, c in enumerate(total) if c}
+
+    return residual
+
+
+def _replay_corpus():
+    rng = random.Random(167)
+    return [
+        *random_broken_tables(137, 12),
+        *(S.sys for S in random_split_systems(71, 12)),
+        *(random_table(rng, dim, rng.randint(dim, dim**3 // 2), _RATIONAL) for dim in (2, 3, 4)),
+        *(
+            random_table(rng, dim, rng.randint(dim**2 // 2, dim**2), coeffs)
+            for dim, coeffs in ((5, COEFFS), (5, _RATIONAL), (6, COEFFS))
+        ),
+    ]
+
+
+def test_every_written_violation_replays(tmp_path):
+    records = 0
+    for n, T in enumerate(_replay_corpus()):
+        path = write(tmp_path, f"t{n}.lts", ts.serialize_system(T))
+        replayed = _replayer(T)
+        oracle = [ident for ident, _, _ in dense_check_identities(T).violations]
+        for family in ("four", "two", "both"):
+            count = sum(family in ("both", ident.split(".")[0]) for ident in oracle)
+            for command in ("verify", "report"):
+                doc = json.loads(run([command, "--json", "--family", family, path])[1])
+                assert len(doc["violations"]) == count, (T, family, command)
+                for v in doc["violations"]:
+                    assert v["residual"] == replayed(v["identity"], tuple(v["tuple"])), (T, v)
+            records += count
+    assert records > 5000
 
 
 # --- text truncation of the violation list ---------------------------------------------

@@ -11,7 +11,7 @@ import trisys as ts
 from trisys import cli
 from trisys.system import IDENTITIES
 from trisys.system import DEFAULT_IDENTITY_CAP
-from conftest import COEFFS, random_broken_tables, random_table, random_verified_corpus
+from conftest import COEFFS, dense_check_identities, random_broken_tables, random_table, random_verified_corpus
 
 COMMANDS = ("verify", "jideal", "split", "decompose", "minimal", "report")
 FLAGS = {
@@ -173,17 +173,16 @@ def test_violation_record_documents_match_json_dumps():
 
 
 def _random_violations(rng):
-    """A _Violations over random sparse residuals: every identity name, 1-5 targets, big and negative ints."""
-    ints = (1, 7, -3, 0, 12, 2**70, -(2**65))
-    residuals = tuple(
-        (
-            rng.choice(_IDENTITY_NAMES),
-            tuple(rng.choice(ints) for _ in range(5)),
-            tuple((m, rng.choice((1, -1, 5, -36, 2**80, -(3**50)))) for m in sorted(rng.sample(range(1, 2**40), rng.randint(1, 5)))),
+    """A _Violations over a hand-built report: every identity name, 1-5 targets, big ints, negative numerators."""
+    ints = (1, 7, 3, 12, 2**70, 2**65 + 1)
+    residuals = {
+        (rng.choice(_IDENTITY_NAMES), tuple(rng.choice(ints) for _ in range(5))): tuple(
+            (m, rng.choice((1, -1, 5, -36, 2**80, -(3**50)))) for m in sorted(rng.sample(range(1, 2**40), rng.randint(1, 5)))
         )
         for _ in range(rng.choice((0, 1, 2, 5)))
-    )
-    return cli._Violations(residuals, rng.choice((1, 1, 6, 36, 2**64)))
+    }
+    report = ts.IdentityReport("both", [(i, t, r) for (i, t), r in residuals.items()], 6, rng.choice((1, 1, 6, 36, 2**64)))
+    return cli._Violations(report)
 
 
 def test_hand_built_violation_records_match_json_dumps():
@@ -191,12 +190,43 @@ def test_hand_built_violation_records_match_json_dumps():
     names = set()
     for _ in range(500):
         seq = _random_violations(rng)
-        names.update(ident for ident, _, _ in seq.residuals)
+        names.update(ident for ident, _, _ in seq.report.residuals)
         for value in (seq, {"violations": seq, "x": [seq]}, [[seq]]):
             assert cli._dumps(value) == json.dumps(value, indent=2, default=list), value
     assert names == set(_IDENTITY_NAMES)
-    empty = cli._Violations((), 1)
+    empty = cli._Violations(ts.IdentityReport("both", (), 3))
     assert cli._dumps(empty) == "[]" and cli._dumps({"v": [empty]}) == json.dumps({"v": [[]]}, indent=2)
-    one = cli._Violations((("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 6)
+    one = cli._Violations(ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6))
     assert list(one) == [{"identity": "four.1", "tuple": (1, 2, 3, 4, 5), "residual": {"1": "-2", "3": "1/6"}}]
     assert cli._dumps({"v": one}) == json.dumps({"v": list(one)}, indent=2)
+
+
+def test_hand_built_reports_equal_computed_ones():
+    # rebuilt from a computed report's residuals, or from the dense oracle's
+    # Fraction residuals over denominator 1: equal, same hash, same bytes
+    for T in _residual_tables()[:6]:
+        for family in ("four", "two", "both"):
+            report = ts.check_identities(T, family)
+            for hand in (
+                ts.IdentityReport(family, report.residuals, T.dim, report.denominator),
+                dense_check_identities(T, family),
+            ):
+                assert hand == report and hash(hand) == hash(report)
+                assert cli._dumps({"v": cli._Violations(hand)}) == cli._dumps({"v": cli._Violations(report)})
+                assert len(cli._Violations(hand)) == len(report.residuals)
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [
+        [("four.1", (1, 2, 3, 4, 5), ())],  # no target
+        [("four.1", (1, 2, 3, 4, 0), ((1, 1),))],  # index 0
+        [("four.1", (1, 2, 3, 4, 5), ((-1, 1),))],  # negative target
+        [("four.1", (1, 2, 3, 4), ((1, 1),))],  # not a 5-tuple
+        [("four.1", (1, 2, 3, 4, 5), ((1, 1),)), ("four.2", (1, 2, 3, 4, 5), ((1, 1),)), ("four.1", (1, 2, 3, 4, 5), ((2, 1),))],
+    ],
+    ids=["empty", "zero", "negative", "short", "twice"],
+)
+def test_malformed_hand_built_residuals_are_refused(residuals):
+    with pytest.raises(ValueError):
+        ts.IdentityReport("four", residuals, 5)
