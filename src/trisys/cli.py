@@ -35,7 +35,7 @@ from .errors import (
     TriSysError,
     ZeroCoefficient,
 )
-from .exactnum import basis_vector, rat_canon, rat_str, rowspace_from
+from .exactnum import coordinate_space, rat_canon, rat_str
 from .fileformat import (
     content_hash,
     parse_leibniz,
@@ -106,9 +106,7 @@ def _split_for(T, args, witness=None):
     generic = getattr(args, "generic", None)
     if generic is None:
         return split_system(T, witness)
-    iset = _parse_iset(generic)
-    space = rowspace_from(T.dim, (basis_vector(T.dim, i) for i in iset))
-    return split_basis(T, space, "generic")
+    return split_basis(T, coordinate_space(T.dim, dict.fromkeys(_parse_iset(generic))), "generic")
 
 
 # --- report sections: built once per input and shared by the commands -------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import is_not
 from typing import Iterable
 
 from .errors import DimensionError
@@ -70,6 +72,11 @@ def basis_vector(dim: int, index: int) -> Vector:
     return tuple(out)
 
 
+def coordinate_space(dim: int, indices: Iterable[int]) -> RowSpace:
+    """Canonical row space spanned by basis vectors, from sorted, distinct 1-based indices."""
+    return RowSpace(dim, tuple([basis_vector(dim, i) for i in indices]))
+
+
 Sparse = dict[int, Fraction]  # 1-based index -> nonzero coefficient
 
 
@@ -108,7 +115,8 @@ class RowSpace:
         """1-based indices when every row is a standard basis vector, else None."""
         out = []
         for row in self.rows:
-            nonzero = [p for p, c in enumerate(row) if c]
+            # only coordinates that are not the shared ZERO object can be nonzero
+            nonzero = [p for p in compress(count(), map(is_not, row, repeat(ZERO))) if row[p]]
             if len(nonzero) != 1:
                 return None
             out.append(nonzero[0] + 1)

@@ -6,6 +6,11 @@ verified Leibniz triple system it annihilates the whole space whenever it
 occupies the second or third slot.  The split partitions the basis indices
 into iset (spanning the ideal) and jset (spanning a complement); it exists
 only when the ideal is spanned by basis vectors.
+
+A product of a basis vector with two basis vectors is a multiple of one basis
+vector, so a span of basis vectors closes and is checked on the entry digraph
+(x -> m for each entry with factor x and target m): one table scan plus dim
+per round.  Any other subspace keeps the exact row-space closure.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, NotAdapted, NotAdmissible
-from .exactnum import RowSpace, Sparse, Vector, rowspace_from, sparse_add, sparse_to_vector, span_insert
+from .exactnum import (RowSpace, Sparse, Vector, coordinate_space, rowspace_from, sparse_add, sparse_to_vector,
+                       span_insert)
 from .system import Key, TripleSystem
 
 MODES = ("leibniz", "generic")
@@ -51,8 +57,8 @@ class SplitSystem:
         return frozenset(self.jset)
 
 
-def _generator_items(T: TripleSystem) -> list[tuple[Key, Vector]]:
-    """Nonzero g(i,j,k) = {i,j,k} - {i,k,j} + {j,k,i} in lexicographic order.
+def _generator_items(T: TripleSystem) -> list[tuple[Key, Sparse]]:
+    """Nonzero g(i,j,k) = {i,j,k} - {i,k,j} + {j,k,i} in lexicographic order, as sparse sums.
 
     g(i,j,k) has a term only if (i,j,k), (i,k,j) or (j,k,i) is a key, so a
     key (p,q,r) makes only g(p,q,r), g(p,r,q) and g(r,p,q) candidates.
@@ -68,63 +74,96 @@ def _generator_items(T: TripleSystem) -> list[tuple[Key, Vector]]:
             if term is not None:
                 sparse_add(acc, term[1], sign * term[0])
         if acc:
-            out.append(((i, j, k), sparse_to_vector(T.dim, acc)))
+            out.append(((i, j, k), acc))
     return out
 
 
 def generator_vectors(T: TripleSystem) -> list[Vector]:
     """The nonzero generators of the deviation ideal, one per basis triple."""
-    return [vec for _, vec in _generator_items(T)]
+    return [sparse_to_vector(T.dim, acc) for _, acc in _generator_items(T)]
 
 
-def _slot_products(T: TripleSystem, v: Vector) -> list[Vector]:
-    """All products {v,b,b'}, {b,v,b'}, {b,b',v} over basis pairs, nonzero only.
+def _slot_products(T: TripleSystem, v: Vector, slots=(0, 1, 2)) -> list[Vector]:
+    """Products {v,b,b'}, {b,v,b'}, {b,b',v} (in `slots`) over basis pairs, nonzero only.
 
-    One scan of the table per slot accumulates every pair's product, which
-    keeps a closure round at O(rank * |table|) instead of O(rank * dim^2).
+    One scan of the table accumulates every pair's product, which keeps a
+    closure round at O(rank * |table|) instead of O(rank * dim^2).
     """
-    acc: list[dict[tuple[int, int], Sparse]] = [{}, {}, {}]
-    for (i, j, k), (c, m) in T.table.items():
-        for slot, idx, pair in ((0, i, (j, k)), (1, j, (i, k)), (2, k, (i, j))):
-            f = v[idx - 1]
+    acc: dict[tuple[int, ...], Sparse] = {}
+    for key, (c, m) in T.table.items():
+        for slot in slots:
+            f = v[key[slot] - 1]
             if f:
-                sparse_add(acc[slot].setdefault(pair, {}), m, f * c)
-    return [
-        sparse_to_vector(T.dim, acc[slot][pair])
-        for slot in range(3)
-        for pair in sorted(acc[slot])
-        if acc[slot][pair]
-    ]
+                sparse_add(acc.setdefault((slot, *key[:slot], *key[slot + 1:]), {}), m, f * c)
+    return [sparse_to_vector(T.dim, acc[p]) for p in sorted(acc) if acc[p]]
+
+
+def _successor_closure(T: TripleSystem, indices) -> tuple[list[int], int]:
+    """Indices reachable from `indices` in the entry digraph, sorted, and the closure rounds.
+
+    A closure round is one breadth-first layer; the rounds are the productive
+    layers plus one, the round that adds nothing or starts at full rank.
+    """
+    succ: dict[int, list[int]] = {}
+    for key, (_, m) in T.table.items():
+        for x in key:
+            succ.setdefault(x, []).append(m)
+    seen = set(indices)
+    layer, rounds = seen, 1
+    while len(seen) < T.dim:
+        layer = {m for x in layer for m in succ.get(x, ())} - seen
+        if not layer:
+            break
+        seen |= layer
+        rounds += 1
+    return sorted(seen), rounds
 
 
 def ideal_closure(T: TripleSystem, seed: RowSpace) -> IdealWitness:
     """Least ideal containing the seed.
 
-    Each round multiplies the current spanning rows against all basis pairs
-    in all three slot placements; the rank can only grow, so the loop stops
-    after at most dim productive rounds plus one stable round.
+    A seed spanned by basis vectors closes on the entry digraph into unit
+    rows.  Any other seed closes semi-naively: each round multiplies only the
+    vectors inserted in the round before (first the seed rows) against all
+    basis pairs in all three slots, which spans what multiplying every row
+    would.  The rank only grows, so at most dim productive rounds plus one
+    stable round are run.
     """
     if seed.dim != T.dim:
         raise DimensionError(f"seed dimension {seed.dim} does not match system dimension {T.dim}")
-    space = seed
-    rounds = 0
+    indices = seed.basis_indices()
+    if indices is not None:
+        closed, rounds = _successor_closure(T, indices)
+        return IdealWitness(seed if len(closed) == seed.rank else coordinate_space(T.dim, closed), (), rounds)
+    space, frontier, rounds = seed, seed.rows, 0
     while True:
         rounds += 1
-        before = space.rank
-        if before == T.dim:  # a round that starts at full rank is the stable round: counted, not run
+        if space.rank == T.dim:  # a round that starts at full rank is the stable round: counted, not run
             break
-        for row in space.rows:
-            for w in _slot_products(T, row):
-                space = span_insert(space, w)
-        if space.rank == before:
+        inserted = []
+        for w in [w for row in frontier for w in _slot_products(T, row)]:
+            grown = span_insert(space, w)
+            if grown.rank > space.rank:
+                space = grown
+                inserted.append(w)
+        if not inserted:
             break
+        frontier = inserted
     return IdealWitness(space, (), rounds)
 
 
 def compute_jideal(T: TripleSystem) -> IdealWitness:
-    """The deviation ideal: the ideal closure of the generator span."""
+    """The deviation ideal: the ideal closure of the generator span.
+
+    If every generator's support lies in the one-index generators' indices,
+    the span is theirs and is built from unit rows, with no row reduction.
+    """
     items = _generator_items(T)
-    seed = rowspace_from(T.dim, (vec for _, vec in items))
+    units = {next(iter(acc)) for _, acc in items if len(acc) == 1}
+    if all(acc.keys() <= units for _, acc in items):
+        seed = coordinate_space(T.dim, sorted(units))
+    else:
+        seed = rowspace_from(T.dim, [sparse_to_vector(T.dim, acc) for _, acc in items])
     closed = ideal_closure(T, seed)
     return IdealWitness(closed.subspace, tuple([key for key, _ in items]), closed.closure_rounds)
 
@@ -132,21 +171,17 @@ def compute_jideal(T: TripleSystem) -> IdealWitness:
 def check_annihilation(T: TripleSystem, J: RowSpace) -> bool:
     """True iff every product with J in the second or third slot vanishes.
 
-    Checked on spanning rows against all basis pairs; bilinearity in the
-    remaining slots makes that sufficient.
+    On J spanned by basis vectors: no entry has slot 2 or 3 in J's indices.
+    Otherwise it is checked on spanning rows against all basis pairs;
+    bilinearity in the remaining slots makes that sufficient.
     """
     if J.dim != T.dim:
         raise DimensionError(f"subspace dimension {J.dim} does not match system dimension {T.dim}")
-    for row in J.rows:
-        acc: dict[tuple[int, int, int], Sparse] = {}
-        for (i, j, k), (c, m) in T.table.items():
-            for slot, idx, pair in ((1, j, (i, k)), (2, k, (i, j))):
-                f = row[idx - 1]
-                if f:
-                    sparse_add(acc.setdefault((slot,) + pair, {}), m, f * c)
-        if any(coords for coords in acc.values()):
-            return False
-    return True
+    indices = J.basis_indices()
+    if indices is not None:
+        inside = set(indices)
+        return not any(j in inside or k in inside for _, j, k in T.table)
+    return not any(_slot_products(T, row, (1, 2)) for row in J.rows)
 
 
 def is_ideal(T: TripleSystem, S: RowSpace) -> bool:

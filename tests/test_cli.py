@@ -607,6 +607,26 @@ def test_wide_bracket_lift_finishes_quickly(tmp_path, text, code, expected):
     assert elapsed < 20, f"lift-leibniz on a dim-500 bracket took {elapsed:.1f} s"
 
 
+def test_wide_generic_split_finishes_quickly(tmp_path):
+    # a declared ideal spanned by basis vectors is checked on the entry digraph, with no row reduction
+    path = write(tmp_path, "wide.tri", "dim 2000\n")
+    iset = ",".join(str(i) for i in range(1, 1001))
+    start = time.perf_counter()
+    code, out, err = run(["split", "--generic", iset, path])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert f"iset: {{{iset}}}\n" in out and "jset: {1001,1002," in out
+    assert elapsed < 20, f"split --generic with 1,000 indices on a dim-2000 file took {elapsed:.1f} s"
+
+
+def test_generic_iset_repeats_and_order_do_not_matter(tmp_path):
+    path = write(tmp_path, "nf3t.lts", NF3T_TEXT)
+    for command in (["split"], ["split", "--json"], ["decompose"], ["minimal", "--json"]):
+        for messy, plain in (("3,1,3", "1,3"), ("3,3", "3"), ("2,3,2", "2,3")):
+            assert run([*command, "--generic", messy, path]) == run([*command, "--generic", plain, path])
+    assert run(["split", "--generic", "3,4", path]) == (2, "", "error: basis index 4 out of range 1..3\n")
+
+
 def test_cli_closes_input_files(tmp_path):
     path = write(tmp_path, "ja.lts", JA_TEXT)
     src = os.path.dirname(os.path.dirname(ts.__file__))

@@ -315,3 +315,127 @@ def test_span_insert_at_full_rank_returns_the_space():
         assert ts.span_insert(full, v) is full
     with pytest.raises(ts.DimensionError):
         ts.span_insert(full, (F(1),) * 2)
+
+
+# --- coordinate subspaces on the entry digraph ---------------------------------------
+
+CORPORA = ["verified", "broken", "random", "full", "rational"]
+
+
+def _annihilation_by_rows(T, J):
+    """Every slot-2 and slot-3 product of every row of J with two basis vectors vanishes, in Fractions."""
+    for row in J.rows:
+        acc = {}
+        for (i, j, k), (c, m) in T.table.items():
+            for slot, factor, pair in ((2, j, (i, k)), (3, k, (i, j))):
+                if row[factor - 1]:
+                    acc[slot, pair, m] = acc.get((slot, pair, m), F(0)) + row[factor - 1] * c
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _coordinate_seeds(rng, dim, count):
+    """Random index subsets, each as the row-reduced span and as the directly built unit rows."""
+    out = []
+    for _ in range(count):
+        indices = sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim)))
+        out += [span_of(dim, *indices), ts.exactnum.coordinate_space(dim, indices)]
+    return out
+
+
+def _all_fractions(space):
+    return all(type(c) is F for row in space.rows for c in row)
+
+
+@pytest.fixture
+def row_reductions(monkeypatch):
+    """Counts the calls of rowspace_from made by jideal."""
+    calls = []
+    original = ts.jideal.rowspace_from
+    monkeypatch.setattr(ts.jideal, "rowspace_from", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_coordinate_closure_matches_row_reduction(corpus):
+    rng = random.Random(101)
+    grew = 0
+    for T in _closure_corpus(corpus):
+        for seed in _coordinate_seeds(rng, T.dim, 4):
+            got, expected = ts.ideal_closure(T, seed), _closure_without_exit(T, seed)
+            assert got == expected, (T, seed)
+            assert got.subspace.basis_indices() is not None and _all_fractions(got.subspace)
+            assert ts.is_ideal(T, seed) == (expected.subspace == seed)
+            assert ts.check_annihilation(T, seed) == _annihilation_by_rows(T, seed), (T, seed)
+            grew += got.subspace.rank > seed.rank
+    assert grew > 5
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_row_closure_matches_full_rounds(corpus):
+    # seeds off the basis vectors: the semi-naive row-space closure
+    rng = random.Random(103)
+    off = 0
+    for T in _closure_corpus(corpus):
+        for _ in range(3):
+            vs = [tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(T.dim)) for _ in range(2)]
+            seed = ts.rowspace_from(T.dim, vs[: rng.randint(1, 2)])
+            off += seed.basis_indices() is None
+            got = ts.ideal_closure(T, seed)
+            assert got == _closure_without_exit(T, seed), (T, seed)
+            assert _all_fractions(got.subspace)
+            assert ts.check_annihilation(T, seed) == _annihilation_by_rows(T, seed), (T, seed)
+    assert off > 5
+
+
+def test_closure_falls_back_off_coordinate_seeds():
+    T = make_nf3_lift()
+    seed = ts.rowspace_from(3, [(F(1), F(1), F(0))])
+    assert seed.basis_indices() is None
+    w = ts.ideal_closure(T, seed)
+    assert w.subspace.rows == ((F(1), F(1), F(0)), (F(0), F(0), F(1)))
+    assert w.closure_rounds == 2
+    assert w == _closure_without_exit(T, seed)
+    assert not ts.is_ideal(T, seed)
+    assert not ts.check_annihilation(T, seed) and not _annihilation_by_rows(T, seed)
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_jideal_seed_branches_keep_witnesses(corpus, row_reductions):
+    for T in _closure_corpus(corpus) + [make_unadapted()]:
+        items = dense_generator_items(T)
+        generated = _closure_without_exit(T, ts.rowspace_from(T.dim, (v for _, v in items)))
+        before = len(row_reductions)
+        got = ts.compute_jideal(T)
+        assert got == ts.IdealWitness(generated.subspace, tuple(k for k, _ in items), generated.closure_rounds), T
+        assert _all_fractions(got.subspace)
+        supports = [{p for p, c in enumerate(v, 1) if c} for _, v in items]
+        units = set().union(*(s for s in supports if len(s) == 1))
+        # the generator span is built without row reduction exactly when every support lies in the units
+        assert (len(row_reductions) == before) == all(s <= units for s in supports), T
+
+
+def test_jideal_seed_with_multi_index_generators():
+    # g(1,2,3) = e1 + e2 lies in the span of the one-index generators g(1,3,2) = -e1 and g(2,3,1) = e2
+    T = ts.construct_system(3, [(1, 2, 3, F(1), 1), (2, 3, 1, F(1), 2)])
+    vectors = ts.generator_vectors(T)
+    assert (F(1), F(1), F(0)) in vectors
+    w = ts.compute_jideal(T)
+    assert w.subspace == span_of(3, 1, 2) and w.closure_rounds == 1
+    # span{e1+e2} has no one-index generator under it: the seed is row-reduced
+    w = ts.compute_jideal(make_unadapted())
+    assert w.subspace.rows == ((F(1), F(1), F(0), F(0)),) and w.closure_rounds == 1
+
+
+def test_coordinate_checks_read_unit_rows_of_any_zero_objects():
+    # rows equal to unit vectors whatever objects hold their zeros
+    T = ts.construct_system(2, [(1, 2, 2, F(1), 1)])
+    for zero in (F(0), 0, ts.exactnum.ZERO):
+        J = ts.RowSpace(2, ((F(1), zero),))
+        assert J.basis_indices() == (1,)
+        assert ts.check_annihilation(T, J)
+        assert ts.is_ideal(T, J)
+        K = ts.RowSpace(2, ((zero, F(1)),))
+        assert not ts.check_annihilation(T, K)
+        assert not ts.is_ideal(T, K)
