@@ -147,17 +147,19 @@ class _Violations(Sequence):
         records = [{"identity": i, "tuple": t, "residual": {str(m): self.text(n) for m, n in r}} for i, t, r in rows]
         return records if many else records[0]
 
-    def json(self, indent: str) -> str:
-        """The records as _dumps writes a list at this indent, in one pass over the cells.
+    def json(self, indent: str, parts: list) -> None:
+        """Extend parts with the records as _write writes a list at this indent, in one pass over the cells.
 
         A record is written as its opening (the identity head, the 5-tuple
-        and the residual's brace) and its (target, numerator) strings.  The
-        openings are assembled from strings built once per identity, per
-        (a, b, c, d) and per f, and each (target, numerator) string is built
-        once.
+        and the residual's brace) and its (target, numerator) strings.  A
+        record's cell is (a, b, c, d)·L + f·K + identity with L = R·K, so its
+        opening is read off two digits: abcd(cell // L) and the head and tail
+        of cell % L, each string built once per value seen.  Each (target,
+        numerator) string is built once too.
         """
         R, idents, keys, nums = self.report._cells
         K, text = len(idents), self.text
+        L = R * K
         inner = indent + "  "
         key, item = inner + "  ", inner + "    "
         sep, end = "," + item, f"{key}}}{inner}}}"  # end closes a record's residual and the record
@@ -171,21 +173,24 @@ class _Violations(Sequence):
             return "{}{sep}{}{sep}{}{sep}{}".format(*divmod(q, R), c, d, sep=sep)
 
         @cache
-        def last(f: int) -> str:  # f and what follows the 5-tuple up to the first pair
-            return f'{sep}{f}{key}],{key}"residual": {{{item}'
+        def head(low: int) -> str:  # the record's identity up to its 5-tuple
+            return heads[low % K]
+
+        @cache
+        def tail(low: int) -> str:  # f and what follows the 5-tuple up to the first pair
+            return f'{sep}{low // K}{key}],{key}"residual": {{{item}'
 
         @cache
         def pair(n, m: int) -> str:
             return f'"{m}": "{text(n)}"'
 
         starts, cells = self._starts()
-        codes = list(map(K.__rfloordiv__, cells))  # the 5-tuples
-        tuples = map(add, map(abcd, map(R.__rfloordiv__, codes)), map(last, map(R.__rmod__, codes)))
-        opens = map(add, map(heads.__getitem__, map(K.__rmod__, cells)), tuples)
+        lows = list(map(L.__rmod__, cells))
+        opens = map(add, map(add, map(head, lows), map(abcd, map(L.__rfloordiv__, cells))), map(tail, lows))
         glue = [next(opens) if start else sep for start in starts]  # what comes before each cell's pair
         glue[0] = "[" + inner + glue[0][len(close) :]
-        pairs = map(pair, nums, map(R.__rmod__, keys))
-        return "".join(chain.from_iterable(zip(glue, pairs))) + end + indent + "]"
+        parts.extend(chain.from_iterable(zip(glue, map(pair, nums, map(R.__rmod__, keys)))))
+        parts.append(end + indent + "]")
 
 
 def _verify_section(T, args) -> tuple[int, dict]:
@@ -480,34 +485,49 @@ def _build_parser() -> argparse.ArgumentParser:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dumps(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) byte for byte, for str-keyed dicts, lists, tuples and scalars.
+def _write(obj, parts: list, indent: str = "\n") -> None:
+    """Append json.dumps(obj, indent=2) to parts, for str-keyed dicts, lists, tuples and scalars.
 
     json.dumps with an indent runs the pure-Python encoder (Python 3.10 and
-    3.11); this writer encodes strings in C, writes str and int items inline
-    and joins each container once.
+    3.11); this writer encodes strings in C and writes each str or int item
+    with its key and separator as one piece.  Nothing is joined until the
+    caller joins parts once, so no piece is copied on its way out.
     """
-    inner = indent + "  "
+    if type(obj) is _Violations and obj:
+        obj.json(indent, parts)
+        return
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            _encode_str(k) + ": " + (
-                _encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner)
-            )
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple, _Violations)):
-        if not obj:
-            return "[]"
-        if type(obj) is _Violations:
-            return obj.json(indent)
-        items = [_encode_str(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, (str, int, type(None))):  # bool is an int
-        return json.dumps(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        items, brackets = [(_encode_str(k) + ": ", v) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple, _Violations)):
+        items, brackets = [("", v) for v in obj], "[]"
+    elif isinstance(obj, (str, int, type(None))):  # bool is an int
+        parts.append(json.dumps(obj))
+        return
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        parts.append(brackets)
+        return
+    inner = indent + "  "
+    before = brackets[0] + inner
+    for key, v in items:
+        if type(v) is str:
+            parts.append(before + key + _encode_str(v))
+        elif type(v) is int:
+            parts.append(before + key + repr(v))
+        else:
+            parts.append(before + key)
+            _write(v, parts, inner)
+        before = "," + inner
+    parts.append(indent + brackets[1])
+
+
+def _dumps(obj, end: str = "") -> str:
+    """json.dumps(obj, indent=2) byte for byte, then end: what _write appends, joined once."""
+    parts: list[str] = []
+    _write(obj, parts)
+    parts.append(end)
+    return "".join(parts)
 
 
 def run_command(argv, out=None, err=None) -> int:
@@ -550,14 +570,14 @@ def run_command(argv, out=None, err=None) -> int:
         if batch is not None:
             batch.append(doc)
         elif args.json:
-            out.write(_dumps(doc) + "\n")
+            out.write(_dumps(doc, "\n"))
         elif "error" in doc:  # a check that could not run
             out.write(f"error: {doc['error']['kind']}: {doc['error']['message']}\n")
         else:
             out.write("\n".join(_RENDERERS[doc["command"]](doc)) + "\n")
         worst = max(worst, code)
     if batch is not None:
-        out.write(_dumps(batch) + "\n")
+        out.write(_dumps(batch, "\n"))
     return worst
 
 

@@ -15,7 +15,9 @@ per round.  Any other subspace keeps the exact row-space closure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionError, NotAdapted, NotAdmissible
@@ -61,20 +63,26 @@ def _generator_items(T: TripleSystem) -> list[tuple[Key, Sparse]]:
     """Nonzero g(i,j,k) = {i,j,k} - {i,k,j} + {j,k,i} in lexicographic order, as sparse sums.
 
     g(i,j,k) has a term only if (i,j,k), (i,k,j) or (j,k,i) is a key, so a
-    key (p,q,r) makes only g(p,q,r), g(p,r,q) and g(r,p,q) candidates.
+    key (p,q,r) makes only g(p,q,r), g(p,r,q) and g(r,p,q) candidates.  The
+    sums are of integer numerators over the common denominator `scale`, as in
+    the identity check; a Fraction is built only for a nonzero coefficient.
     """
+    scale = math.lcm(*(c.denominator for c, _ in T.table.values()))
+    scaled = {key: (c.numerator * (scale // c.denominator), m) for key, (c, m) in T.table.items()}
     candidates = set()
-    for p, q, r in T.table:
+    for p, q, r in scaled:
         candidates.update(((p, q, r), (p, r, q), (r, p, q)))
     out = []
     for i, j, k in sorted(candidates):
-        acc: Sparse = {}
+        acc: dict[int, int] = {}
         for sign, key in ((1, (i, j, k)), (-1, (i, k, j)), (1, (j, k, i))):
-            term = T.table.get(key)
+            term = scaled.get(key)
             if term is not None:
-                sparse_add(acc, term[1], sign * term[0])
-        if acc:
-            out.append(((i, j, k), acc))
+                n, m = term
+                acc[m] = acc.get(m, 0) + sign * n
+        coeffs = {m: Fraction(n, scale) for m, n in acc.items() if n}
+        if coeffs:
+            out.append(((i, j, k), coeffs))
     return out
 
 
@@ -179,9 +187,13 @@ def check_annihilation(T: TripleSystem, J: RowSpace) -> bool:
         raise DimensionError(f"subspace dimension {J.dim} does not match system dimension {T.dim}")
     indices = J.basis_indices()
     if indices is not None:
-        inside = set(indices)
-        return not any(j in inside or k in inside for _, j, k in T.table)
+        return _annihilates(T, set(indices))
     return not any(_slot_products(T, row, (1, 2)) for row in J.rows)
+
+
+def _annihilates(T: TripleSystem, inside: set[int]) -> bool:
+    """True iff no entry has slot 2 or 3 in `inside`: the span of those basis vectors annihilates there."""
+    return not any(j in inside or k in inside for _, j, k in T.table)
 
 
 def is_ideal(T: TripleSystem, S: RowSpace) -> bool:
@@ -207,15 +219,16 @@ def split_basis(T: TripleSystem, J: RowSpace, mode: str = "leibniz") -> SplitSys
 
 
 def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
+    """Split along J, whose basis indices are derived once and checked on the entry digraph."""
     iset = J.basis_indices()
     if iset is None:
         bad = next(row for row in J.rows if sum(1 for c in row if c) != 1)
         raise NotAdapted(bad)
-    if mode == "generic" and not is_ideal(T, J):
-        raise NotAdmissible("declared subspace is not an ideal")
-    if not check_annihilation(T, J):
-        raise NotAdmissible("ideal has a nonzero product in the second or third slot")
     inside = set(iset)
+    if mode == "generic" and len(_successor_closure(T, iset)[0]) != len(inside):  # is_ideal(T, J)
+        raise NotAdmissible("declared subspace is not an ideal")
+    if not _annihilates(T, inside):  # check_annihilation(T, J)
+        raise NotAdmissible("ideal has a nonzero product in the second or third slot")
     jset = tuple([i for i in range(1, T.dim + 1) if i not in inside])
     return SplitSystem(T, tuple(sorted(iset)), jset, mode)
 

@@ -434,6 +434,27 @@ def dense_check_identities(T, family="both"):
     return report
 
 
+def fraction_generator_items(T):
+    """The library's former generator loop: sparse sums of Fraction coefficients over the candidate keys."""
+    candidates = set()
+    for p, q, r in T.table:
+        candidates.update(((p, q, r), (p, r, q), (r, p, q)))
+    out = []
+    for i, j, k in sorted(candidates):
+        acc = {}
+        for sign, key in ((1, (i, j, k)), (-1, (i, k, j)), (1, (j, k, i))):
+            if key in T.table:
+                c, m = T.table[key]
+                value = acc.get(m, Fraction(0)) + sign * c
+                if value:
+                    acc[m] = value
+                else:
+                    del acc[m]
+        if acc:
+            out.append(((i, j, k), acc))
+    return out
+
+
 def dense_generator_items(T):
     """Nonzero g(i,j,k) = {i,j,k} - {i,k,j} + {j,k,i} over all triples, in lex order."""
     out = []

@@ -619,6 +619,24 @@ def test_wide_generic_split_finishes_quickly(tmp_path):
     assert elapsed < 20, f"split --generic with 1,000 indices on a dim-2000 file took {elapsed:.1f} s"
 
 
+def test_generic_split_derives_the_basis_indices_once(tmp_path, monkeypatch):
+    # the ideal and annihilation checks read the indices _split derived, not the space again
+    calls = []
+    original = ts.RowSpace.basis_indices
+
+    def counted(self):
+        calls.append(self.rank)
+        return original(self)
+
+    monkeypatch.setattr(ts.RowSpace, "basis_indices", counted)
+    wide = ",".join(str(i) for i in range(1, 1001))
+    cases = [("dim 2000\n", wide, 0), (NF3T_TEXT, "3", 0), (NF3T_TEXT, "1", 1), (JA_TEXT, "2", 1), (JA_TEXT, "", 0)]
+    for text, iset, code in cases:
+        calls.clear()
+        assert run(["split", "--generic", iset, write(tmp_path, "t.lts", text)])[0] == code
+        assert len(calls) == 1, (text[:20], iset[:20], calls)
+
+
 def test_generic_iset_repeats_and_order_do_not_matter(tmp_path):
     path = write(tmp_path, "nf3t.lts", NF3T_TEXT)
     for command in (["split"], ["split", "--json"], ["decompose"], ["minimal", "--json"]):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 import trisys as ts
 from conftest import (
     dense_generator_items,
+    fraction_generator_items,
     make_jacobson_a,
     make_jacobson_b,
     make_nf3_lift,
@@ -55,6 +57,41 @@ def test_generators_match_dense_scan():
         items = dense_generator_items(T)
         assert ts.compute_jideal(T).generators == tuple(key for key, _ in items), T
         assert ts.generator_vectors(T) == [vec for _, vec in items], T
+
+
+_MIXED = (F(1, 4), F(-1, 6), F(2, 9), F(-5, 3), F(7, 10), F(3))  # lcm 180, above every denominator
+
+
+def _generator_corpus(name):
+    rng = random.Random(f"generators:{name}")
+    if name == "verified":
+        return random_verified_corpus(211, 20)
+    if name == "broken":
+        return random_broken_tables(223, 20)
+    if name == "rational":
+        coeffs = (F(1, 2), F(-2, 3), F(3), F(-5, 4))
+        return [random_table(rng, dim, rng.randint(1, dim**3), coeffs) for dim in range(1, 7) for _ in range(2)]
+    if name == "mixed":
+        return [random_table(rng, dim, rng.randint(dim, dim**3), _MIXED) for dim in range(2, 7) for _ in range(3)]
+    return [random_table(rng, dim, rng.randint(dim**2, dim**3)) for dim in range(2, 7) for _ in range(2)]
+
+
+@pytest.mark.parametrize("corpus", ["verified", "broken", "rational", "mixed", "dense"])
+def test_integer_generator_sums_match_fraction_sums(corpus, monkeypatch):
+    lcm_above = 0
+    for T in _generator_corpus(corpus):
+        expected = fraction_generator_items(T)
+        got = ts.jideal._generator_items(T)
+        assert got == expected, T
+        assert all(type(c) is Fraction and c for _, acc in got for c in acc.values()), T
+        assert ts.generator_vectors(T) == [tuple(acc.get(i, F(0)) for i in range(1, T.dim + 1)) for _, acc in expected]
+        witness = ts.compute_jideal(T)
+        with monkeypatch.context() as m:
+            m.setattr(ts.jideal, "_generator_items", fraction_generator_items)
+            assert witness == ts.compute_jideal(T), T  # rows, generators and rounds
+        denominators = {c.denominator for c, _ in T.table.values()}
+        lcm_above += math.lcm(*denominators) > max(denominators, default=1)
+    assert (lcm_above > 5) == (corpus in ("rational", "mixed"))
 
 
 def test_generators_zero_table():

@@ -2,15 +2,17 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import trisys as ts
 from trisys import cli
-from trisys.system import IDENTITIES
-from trisys.system import DEFAULT_IDENTITY_CAP
+from trisys.system import DEFAULT_IDENTITY_CAP, FOUR_FAMILY, IDENTITIES, TWO_FAMILY
 from conftest import COEFFS, dense_check_identities, random_broken_tables, random_table, random_verified_corpus
 
 COMMANDS = ("verify", "jideal", "split", "decompose", "minimal", "report")
@@ -201,6 +203,50 @@ def test_hand_built_violation_records_match_json_dumps():
     assert cli._dumps({"v": one}) == json.dumps({"v": list(one)}, indent=2)
 
 
+_FAMILIES = {"four": FOUR_FAMILY, "two": TWO_FAMILY, "both": _IDENTITY_NAMES}
+
+
+def _family_violations(rng, family, dim):
+    """A _Violations over a hand-built report with every identity of the family and digits up to dim.
+
+    Its radices are K = len(family) and R = dim + 1; 5-tuples come from a
+    small pool, so several identities share one.
+    """
+    names = _FAMILIES[family]
+    pool = [tuple(rng.choices(range(1, dim + 1), k=5)) for _ in range(rng.randint(1, 4))]
+    cells = [(name, rng.choice(pool)) for name in names]
+    cells += [(rng.choice(names), rng.choice(pool)) for _ in range(rng.randint(0, 12))]
+    cells = list(dict.fromkeys(cells))
+    rng.shuffle(cells)
+    numerators = (1, -1, 5, -36, 2**80, -(3**50))
+    residuals = []
+    for name, tup in cells:
+        targets = sorted(rng.sample(range(1, dim + 1), rng.randint(1, min(5, dim))))
+        residuals.append((name, tup, tuple((m, rng.choice(numerators)) for m in targets)))
+    report = ts.IdentityReport(family, residuals, dim, rng.choice((1, 6, 36, 2**64)))
+    return cli._Violations(report)
+
+
+def test_radix_openings_match_json_dumps_for_every_family_and_dim():
+    # a record's opening is read off cell // (R*K) and cell % (R*K); every family's K against every R
+    rng = random.Random(163)
+    radices, targets, shared = set(), set(), 0
+    for family in _FAMILIES:
+        for dim in range(1, 10):
+            for _ in range(12):
+                seq = _family_violations(rng, family, dim)
+                R, idents = seq.report._cells[:2]
+                assert (R, len(idents)) == (dim + 1, len(_FAMILIES[family]))
+                radices.add((family, R))
+                tuples = [t for _, t, _ in seq.report.residuals]
+                shared += len(set(tuples)) < len(tuples)
+                targets.update(len(pairs) for _, _, pairs in seq.report.residuals)
+                for value in (seq, {"violations": seq, "x": [seq]}, [[seq]]):
+                    assert cli._dumps(value) == json.dumps(value, indent=2, default=list), (family, dim)
+    assert {("two", 2), ("four", 4), ("both", 6)} <= radices  # R == K
+    assert targets == {1, 2, 3, 4, 5} and shared > 100
+
+
 def test_hand_built_reports_equal_computed_ones():
     # rebuilt from a computed report's residuals, or from the dense oracle's
     # Fraction residuals over denominator 1: equal, same hash, same bytes
@@ -230,3 +276,57 @@ def test_hand_built_reports_equal_computed_ones():
 def test_malformed_hand_built_residuals_are_refused(residuals):
     with pytest.raises(ValueError):
         ts.IdentityReport("four", residuals, 5)
+
+
+# --- the write path -----------------------------------------------------------------
+
+
+class _Recorder:
+    """An output stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def _dense_files(tmp_path):
+    """Dense failing dim-5 tables, one file each."""
+    rng = random.Random(167)
+    paths = []
+    for n in range(3):
+        T = random_table(rng, 5, rng.randint(40, 62))
+        assert not ts.check_identities(T).ok
+        path = tmp_path / f"dense{n}.lts"
+        path.write_text(ts.serialize_system(T), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_each_json_document_and_batch_is_one_write(tmp_path):
+    paths = _dense_files(tmp_path) + _files(tmp_path)[:4]
+    argvs = [[command, "--json", *flags, path] for path in paths for command in COMMANDS for flags in FLAGS[command]]
+    argvs += [[command, "--each", "--json", *paths] for command in COMMANDS]
+    for argv in argvs:
+        out = _Recorder()
+        cli.run_command(argv, out=out, err=io.StringIO())
+        assert len(out.writes) == 1 and out.writes[0].endswith("\n"), argv
+        assert out.writes[0] == _stdout(argv)
+
+
+def test_json_stdout_bytes_of_the_console_match_run_command(tmp_path):
+    paths = _dense_files(tmp_path)
+    src = os.path.dirname(os.path.dirname(ts.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["report", "--json", paths[0]], ["report", "--each", "--json", *paths[:2]]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "trisys.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run_command(argv, out=out, err=err)
+        assert (proc.returncode, proc.stderr) == (code, b"") == (1, b"")
+        assert proc.stdout == out.getvalue().encode("utf-8") and len(proc.stdout) > 100_000
