@@ -435,7 +435,7 @@ def dense_check_identities(T, family="both"):
 
 
 def fraction_generator_items(T):
-    """The library's former generator loop: sparse sums of Fraction coefficients over the candidate keys."""
+    """Generator sums g(i,j,k) in Fraction arithmetic over the candidate keys: the reference for the integer sums."""
     candidates = set()
     for p, q, r in T.table:
         candidates.update(((p, q, r), (p, r, q), (r, p, q)))
