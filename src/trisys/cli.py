@@ -43,7 +43,7 @@ from .fileformat import (
     serialize_leibniz,
     serialize_system,
 )
-from .connect import Partition, partition
+from .connect import partition
 from .jideal import check_annihilation, compute_jideal, split_basis, split_system
 from .system import DEFAULT_IDENTITY_CAP, check_identities, lift_from_leibniz
 
@@ -218,11 +218,11 @@ def _split_section(S) -> dict:
     return {"mode": S.mode, "iset": list(S.iset), "jset": list(S.jset)}
 
 
-def _decompose_section(S, args) -> tuple[int, dict, Partition]:
+def _decompose_section(S, args) -> tuple[int, dict]:
     report = check_decomposition(S, args.mode)
-    # the components' indices are the requested mode's partition (reused by
-    # the minimal section), so modes_agree partitions only the other mode,
-    # after the requested one, which keeps the first InconsistentSplit raised
+    # the components' indices are the requested mode's partition, so
+    # modes_agree partitions only the other mode, after the requested one,
+    # which keeps the first InconsistentSplit raised
     classes = tuple([comp.indices for comp in report.components])
     other = "restricted" if args.mode == "literal" else "literal"
     section = {
@@ -246,11 +246,11 @@ def _decompose_section(S, args) -> tuple[int, dict, Partition]:
         "modes_agree": classes == partition(S, other).classes,
         "ok": report.ok,
     }
-    return (0 if report.ok else CHECK_FAILED), section, Partition(classes, args.mode)
+    return (0 if report.ok else CHECK_FAILED), section
 
 
-def _minimal_section(S, args, part=None) -> dict:
-    verdict = is_minimal(S, args.mode, oracle_cap=args.oracle_cap, part=part)
+def _minimal_section(S, args) -> dict:
+    verdict = is_minimal(S, args.mode, oracle_cap=args.oracle_cap)
     return {
         "mu_multiplicative": verdict.mu_multiplicative,
         "mu_violation": str(verdict.mu_violation) if verdict.mu_violation else None,
@@ -286,7 +286,7 @@ def _cmd_split(name: str, text: str, args) -> tuple[int, dict]:
 def _cmd_decompose(name: str, text: str, args) -> tuple[int, dict]:
     T = parse_system(text)
     S = _split_for(T, args)
-    code, section, _ = _decompose_section(S, args)
+    code, section = _decompose_section(S, args)
     return code, {**_header("decompose", name, T), "mode": args.mode, "split_mode": S.mode, **section}
 
 
@@ -323,9 +323,9 @@ def _cmd_report(name: str, text: str, args) -> tuple[int, dict]:
         doc["split"] = {"error": type(err).__name__, "message": str(err)}
         return CHECK_FAILED, doc
     doc["split"] = _split_section(S)
-    dec_code, section, part = _decompose_section(S, args)
+    dec_code, section = _decompose_section(S, args)
     doc["decompose"] = {"mode": args.mode, **section}
-    doc["minimal"] = _minimal_section(S, args, part)
+    doc["minimal"] = _minimal_section(S, args)
     return max(code, dec_code), doc
 
 

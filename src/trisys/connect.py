@@ -12,8 +12,9 @@ by construction.  Restricted mode confines pairs to jset indices and their
 bars; it is the domain on which connections are reversible.
 
 The basis is multiplicative, so mu is nonzero only on table entries:
-reachability and the partition read their steps off one table scan and
-cost one table scan plus dim.  The pointwise maps replay witnesses.
+one table scan reads the steps of both pair domains, and each split keeps
+that scan and its partitions, so reachability, the partitions and the mu
+check of one split share it.  The pointwise maps replay witnesses.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ Step = tuple[tuple[bool, int, int], int]  # ((barred, p, q), y) with y in mu(x, 
 
 
 class _Steps:
-    """Every nonzero mu-step of one pair domain, read off the table in one scan.
+    """Every nonzero mu-step of one pair domain, read from the split's memoized step scan.
 
     A plain step x -(p,q)-> y is an entry keyed by a permutation of (x,p,q)
     with target y; a barred step x -(p',q')-> y is an entry with target x,
@@ -189,26 +190,7 @@ class _Steps:
         if mode not in PARTITION_MODES:
             raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
         self.S = S
-        in_i, in_j = S.in_i, S.in_j
-        found: dict[int, set[Step]] = defaultdict(set)
-        self.faults: dict[int, tuple[int, int]] = {}
-        for (i, j, k), (_, m) in S.sys.table.items():
-            bad = j in in_i or k in in_i or (i in in_i and m not in in_i)
-            for slot, (s, a, b) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
-                jpair = a in in_j and b in in_j
-                if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
-                    found[m].update((((True, a, b), s), ((True, b, a), s)))
-                if mode == "literal" or jpair:
-                    if bad:
-                        self.faults[s] = min(self.faults.get(s, (a, b)), (a, b), (b, a))
-                    else:
-                        found[s].update((((False, a, b), m), ((False, b, a), m)))
-        self.steps: dict[int, list[Step]] = {}
-        for x, out in found.items():
-            ordered = sorted(out)
-            if x in self.faults:
-                ordered = [st for st in ordered if st[0] < (False, *self.faults[x])]
-            self.steps[x] = ordered
+        self.steps, self.faults = _memo(S, "_mu_steps", _scan_steps)[mode]
 
     def of(self, x: int) -> Iterator[Step]:
         """x's steps in scan order; raises where the pointwise scan of x raises."""
@@ -216,6 +198,63 @@ class _Steps:
         if x in self.faults:
             mu(self.S, x, *map(plain, self.faults[x]))  # raises map_a's own InconsistentSplit
             raise InternalError(f"mu accepts the pair {self.faults[x]} marked faulty at {x}")
+
+
+def _memo(S: SplitSystem, key: str, build):
+    """build(S), computed once per split and kept in its __dict__ beside in_i and in_j.
+
+    The dataclass fields, and so equality, hash and repr, do not see it.
+    """
+    memo = vars(S)
+    if key not in memo:
+        memo[key] = build(S)
+    return memo[key]
+
+
+def _scan_steps(S: SplitSystem) -> dict[str, tuple[dict[int, list[Step]], dict[int, tuple[int, int]]]]:
+    """The steps and faults of both pair domains, {mode: (steps, faults)}, from one table scan.
+
+    Restricted plain steps and faults are the literal ones whose pair lies in
+    jset; barred steps are the same in both domains.  A source with a fault
+    keeps only its plain steps before the faulty pair, since every barred
+    step sorts after every plain one.
+    """
+    in_i, in_j = S.in_i, S.in_j
+    plain_found: dict[int, set[Step]] = defaultdict(set)
+    barred_found: dict[int, set[Step]] = defaultdict(set)
+    literal_faults: dict[int, tuple[int, int]] = {}
+    restricted_faults: dict[int, tuple[int, int]] = {}
+    for (i, j, k), (_, m) in S.sys.table.items():
+        bad = j in in_i or k in in_i or (i in in_i and m not in in_i)
+        for slot, (s, a, b) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
+            jpair = a in in_j and b in in_j
+            if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
+                barred_found[m].update((((True, a, b), s), ((True, b, a), s)))
+            if not bad:
+                plain_found[s].update((((False, a, b), m), ((False, b, a), m)))
+                continue
+            literal_faults[s] = min(literal_faults.get(s, (a, b)), (a, b), (b, a))
+            if jpair:
+                restricted_faults[s] = min(restricted_faults.get(s, (a, b)), (a, b), (b, a))
+    ordered = {
+        x: (sorted(plain_found.get(x, ())), sorted(barred_found.get(x, ())))
+        for x in plain_found.keys() | barred_found.keys()
+    }
+    out = {}
+    for mode, faults in (("literal", literal_faults), ("restricted", restricted_faults)):
+        steps: dict[int, list[Step]] = {}
+        for x, (own, barred_steps) in ordered.items():
+            if mode == "restricted":
+                own = [st for st in own if st[0][1] in in_j and st[0][2] in in_j]
+            if not (own or barred_steps):
+                continue
+            if x in faults:
+                stop = (False, *faults[x])
+                steps[x] = [st for st in own if st[0] < stop]
+            else:
+                steps[x] = own + barred_steps
+        out[mode] = (steps, faults)
+    return out
 
 
 def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, ConnectionWitness]:
@@ -272,32 +311,32 @@ def reverse_connection(S: SplitSystem, w: ConnectionWitness) -> ConnectionWitnes
     return reversed_w
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
+def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph on 1..n with the given edges, by minimum, each ascending.
 
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self):
-        groups: dict[int, list[int]] = {}
-        for i in self.parent:
-            groups.setdefault(self.find(i), []).append(i)
-        return tuple([tuple(sorted(g)) for _, g in sorted(groups.items())])
+    Union-find with path halving that links the larger root under the
+    smaller, so every parent is below its child and one ascending pass
+    labels each index with its root, the class minimum.
+    """
+    parent = list(range(n + 1))
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for i in range(1, n + 1):
+        parent[i] = root = parent[parent[i]]
+        groups.setdefault(root, []).append(i)
+    return tuple([tuple(g) for g in groups.values()])
 
 
 def partition(S: SplitSystem, mode: str = "literal") -> Partition:
-    """Connection classes of the index set.
+    """Connection classes of the index set, computed once per split and mode.
 
     The step closure joins each index with the targets of its mu-steps.
     Literal mode equals the connected components of the hypergraph with one
@@ -305,20 +344,24 @@ def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     entries alone and cross-checked against the step closure.  Restricted
     mode is the step closure over the confined pair domain.
     """
+    return _memo(S, f"_partition_{mode}", lambda S: _partition(S, mode))
+
+
+def _known_partition(S: SplitSystem, mode: str) -> Partition:
+    """partition(S, mode), read from the memo without a call when a caller already computed it."""
+    return vars(S).get(f"_partition_{mode}") or partition(S, mode)
+
+
+def _partition(S: SplitSystem, mode: str) -> Partition:
     steps = _Steps(S, mode)
-    step_uf = _UnionFind(range(1, S.sys.dim + 1))
-    for x in range(1, S.sys.dim + 1):
-        for _, y in steps.of(x):
-            step_uf.union(x, y)
-    closure = step_uf.classes()
+    if steps.faults:
+        for _ in steps.of(min(steps.faults)):  # raises the first faulty source's InconsistentSplit
+            pass
+    n = S.sys.dim
+    closure = _components(n, ((x, y) for x, out in steps.steps.items() for y in {y for _, y in out}))
     if mode == "restricted":
         return Partition(closure, mode)
-    uf = _UnionFind(range(1, S.sys.dim + 1))
-    for (i, j, k), (_, m) in S.sys.table.items():
-        uf.union(i, j)
-        uf.union(i, k)
-        uf.union(i, m)
-    hyper = uf.classes()
+    hyper = _components(n, ((i, e) for (i, j, k), (_, m) in S.sys.table.items() for e in (j, k, m)))
     if hyper != closure:
         raise InternalError(
             f"hyperedge components {hyper} disagree with step closure {closure}"

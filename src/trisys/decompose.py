@@ -5,7 +5,14 @@ are pairwise orthogonal ideals whose direct sum is the whole system, and
 that is re-verified on every call.  Minimality (the only nonzero ideals
 with an inherited basis are the deviation ideal and the whole system) is
 decided by the connectivity criterion when the basis passes the
-mu-multiplicativity test, and by exhaustive subset enumeration otherwise.
+mu-multiplicativity test, and otherwise by the inherited ideals themselves.
+
+A basis subset spans an ideal iff it is closed under the entry digraph
+(factor -> target), so the inherited ideals are unions of principal
+closures cl(x), and the first counterexample in size-then-lexicographic
+order is itself a principal closure.  is_minimal takes it from the dim
+principal closures, in O(dim * (dim + |T|)); the exhaustive 2^dim
+enumeration stays public as the reference.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapExceeded, ConfinementError, TheoremViolation
-from .jideal import SplitSystem
-from .connect import MarkedIndex, Partition, _Steps, partition
-from .system import Entry, TripleSystem, construct_system
+from .jideal import SplitSystem, _successor_closure, _successors
+from .connect import MarkedIndex, Partition, _known_partition, _Steps, partition
+from .system import Entry, TripleSystem
 
 DEFAULT_ORACLE_CAP = 12
 
@@ -96,10 +103,11 @@ def _split_entries(
 
 
 def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry]) -> Component:
-    local = {parent: pos + 1 for pos, parent in enumerate(cls)}
-    local_entries = [(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in entries]
-    labels = {pos + 1: S.sys.labels[parent - 1] for pos, parent in enumerate(cls)}
-    sub = construct_system(len(cls), local_entries, labels=labels)
+    # the parent's entries are validated and sorted by key, and the local
+    # numbering is monotone, so they need no construct_system pass
+    local = {parent: pos for pos, parent in enumerate(cls, 1)}
+    local_entries = tuple([(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in entries])
+    sub = TripleSystem(len(cls), local_entries, tuple([S.sys.labels[parent - 1] for parent in cls]))
     return Component(
         cls,
         sub,
@@ -232,6 +240,25 @@ def _oracle_counterexample(S: SplitSystem, cap: int) -> tuple[int, ...] | None:
     return None
 
 
+def _principal_counterexample(S: SplitSystem) -> tuple[int, ...] | None:
+    """The counterexample _oracle_counterexample finds, read off the dim principal closures.
+
+    cl(x) is the successor closure of x in the entry digraph.  The first
+    counterexample C holds an x with cl(x) other than iset (else C, the
+    union of its members' closures, would be iset), and cl(x) lies in C, so
+    cl(x) = C.
+    """
+    succ = _successors(S.sys)
+    best: tuple[int, ...] | None = None
+    for x in range(1, S.sys.dim + 1):
+        closed = tuple(_successor_closure(S.sys, (x,), succ)[0])
+        if len(closed) == S.sys.dim or closed == S.iset:
+            continue
+        if best is None or (len(closed), closed) < (len(best), best):
+            best = closed
+    return best
+
+
 def is_minimal(
     S: SplitSystem, mode: str = "literal", oracle_cap: int = DEFAULT_ORACLE_CAP, part: Partition | None = None
 ) -> MinimalityVerdict:
@@ -240,10 +267,14 @@ def is_minimal(
     When the basis is mu-multiplicative the verdict follows the
     connectivity criterion (iset within one class and jset within one
     class).  Otherwise the criterion does not apply; up to the oracle cap
-    the subset enumeration decides instead, beyond it the verdict is
-    criterion_inapplicable.  `part` is partition(S, mode) if the caller has it.
+    the inherited ideals decide instead, beyond it the verdict is
+    criterion_inapplicable.  Up to the cap, a not_minimal verdict carries
+    the first counterexample ideal, the least principal closure that is
+    neither iset nor the whole index set: polynomial, and the same ideal
+    the exhaustive enumeration finds first.  `part` is partition(S, mode)
+    if the caller has it; the split's own memo is read otherwise.
     """
-    part = part if part is not None and part.mode == mode else partition(S, mode)
+    part = part if part is not None and part.mode == mode else _known_partition(S, mode)
     i_conn = len({part.class_of[i] for i in S.iset}) <= 1
     j_conn = len({part.class_of[j] for j in S.jset}) <= 1
     mu_ok, violation = mu_multiplicativity_check(S)
@@ -252,9 +283,9 @@ def is_minimal(
         verdict = "minimal" if (i_conn and j_conn) else "not_minimal"
         oracle_used = False
         if verdict == "not_minimal" and S.sys.dim <= oracle_cap:
-            counterexample = _oracle_counterexample(S, oracle_cap)
+            counterexample = _principal_counterexample(S)
     elif S.sys.dim <= oracle_cap:
-        counterexample = _oracle_counterexample(S, oracle_cap)
+        counterexample = _principal_counterexample(S)
         verdict = "minimal" if counterexample is None else "not_minimal"
         oracle_used = True
     else:

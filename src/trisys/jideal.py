@@ -106,16 +106,26 @@ def _slot_products(T: TripleSystem, v: Vector, slots=(0, 1, 2)) -> list[Vector]:
     return [sparse_to_vector(T.dim, acc[p]) for p in sorted(acc) if acc[p]]
 
 
-def _successor_closure(T: TripleSystem, indices) -> tuple[list[int], int]:
-    """Indices reachable from `indices` in the entry digraph, sorted, and the closure rounds.
-
-    A closure round is one breadth-first layer; the rounds are the productive
-    layers plus one, the round that adds nothing or starts at full rank.
-    """
+def _successors(T: TripleSystem) -> dict[int, list[int]]:
+    """The entry digraph: x -> m for every entry with factor x and target m."""
     succ: dict[int, list[int]] = {}
     for key, (_, m) in T.table.items():
         for x in key:
             succ.setdefault(x, []).append(m)
+    return succ
+
+
+def _successor_closure(
+    T: TripleSystem, indices, succ: dict[int, list[int]] | None = None
+) -> tuple[list[int], int]:
+    """Indices reachable from `indices` in the entry digraph, sorted, and the closure rounds.
+
+    A closure round is one breadth-first layer; the rounds are the productive
+    layers plus one, the round that adds nothing or starts at full rank.
+    `succ` is _successors(T) if the caller has it.
+    """
+    if succ is None:
+        succ = _successors(T)
     seen = set(indices)
     layer, rounds = seen, 1
     while len(seen) < T.dim:

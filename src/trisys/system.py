@@ -180,7 +180,7 @@ def construct_system(dim: int, entries: Iterable[Sequence], labels=None) -> Trip
         for idx in (i, j, k, target):
             if not 1 <= idx <= dim:
                 raise IndexError(f"index {idx} out of range 1..{dim} in entry {tuple(raw)}")
-        c = Fraction(coeff)
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
         if c == 0:
             raise ZeroCoefficient(f"zero coefficient at {(i, j, k)}; omit zero products")
         if (i, j, k) in seen:
@@ -202,7 +202,7 @@ def construct_bilinear(dim: int, entries: Iterable[Sequence], labels=None) -> Bi
         for idx in (i, j, target):
             if not 1 <= idx <= dim:
                 raise IndexError(f"index {idx} out of range 1..{dim} in entry {tuple(raw)}")
-        c = Fraction(coeff)
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
         if c == 0:
             raise ZeroCoefficient(f"zero coefficient at {(i, j)}; omit zero brackets")
         if (i, j, target) in seen:

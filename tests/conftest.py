@@ -579,6 +579,37 @@ def dense_step_closure_classes(S, mode):
     return tuple(sorted(classes, key=lambda c: c[0]))
 
 
+def reference_steps(S, mode):
+    """One pair domain's mu-steps and faults from its own table scan, as (steps, faults).
+
+    This is the per-mode step scan the connection layer ran, once per pair
+    domain and caller, before both domains came from one memoized scan.
+    """
+    if mode not in ("literal", "restricted"):
+        raise ValueError(f"unknown mode {mode!r}")
+    in_i, in_j = set(S.iset), set(S.jset)
+    found = {}
+    faults = {}
+    for (i, j, k), (_, m) in S.sys.table.items():
+        bad = j in in_i or k in in_i or (i in in_i and m not in in_i)
+        for slot, (s, a, b) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
+            jpair = a in in_j and b in in_j
+            if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
+                found.setdefault(m, set()).update((((True, a, b), s), ((True, b, a), s)))
+            if mode == "literal" or jpair:
+                if bad:
+                    faults[s] = min(faults.get(s, (a, b)), (a, b), (b, a))
+                else:
+                    found.setdefault(s, set()).update((((False, a, b), m), ((False, b, a), m)))
+    steps = {}
+    for x, out in found.items():
+        ordered = sorted(out)
+        if x in faults:
+            ordered = [st for st in ordered if st[0] < (False, *faults[x])]
+        steps[x] = ordered
+    return steps, faults
+
+
 def _dense_realized(S, t1, s1, s2, t2):
     for key in ((t1, s1, s2), (t1, s2, s1)):
         term = S.sys.table.get(key)

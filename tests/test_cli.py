@@ -580,6 +580,17 @@ def test_wide_sparse_file_finishes_quickly(tmp_path, command, text):
     assert elapsed < 20, f"{command} on a dim-500 file took {elapsed:.1f} s"
 
 
+def test_minimal_counterexample_on_a_wide_file_needs_no_subset_enumeration(tmp_path):
+    # the counterexample is the least principal closure, not the first of 2**60 subsets
+    path = write(tmp_path, "d60.tri", "dim 60\n")
+    start = time.perf_counter()
+    code, out, err = run(["minimal", "--oracle-cap", "64", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert "verdict: not_minimal\n" in out and "counterexample_ideal: {1}\n" in out
+    assert elapsed < 20, f"minimal on a dim-60 file took {elapsed:.1f} s"
+
+
 @pytest.mark.parametrize(
     "text, code, expected",
     [
@@ -721,6 +732,23 @@ def test_report_partitions_each_mode_once(tmp_path, monkeypatch):
                 code, out, _ = run(["report", *json_flag, "--mode", mode, path])
                 assert code in (0, 1) and out
                 assert [args[1] for args in partitions] == [mode, "restricted" if mode == "literal" else "literal"]
+
+
+def test_each_command_scans_the_steps_once_and_partitions_each_mode_once(tmp_path, monkeypatch):
+    # both pair domains come from one step scan, kept with the split like its partitions
+    scans = _count_calls(monkeypatch, ts.connect, "_scan_steps")
+    partitions = _count_calls(monkeypatch, ts.connect, "_partition")
+    for text in (NF3T_TEXT, JA_TEXT, JB_TEXT, CONFINE_TEXT):
+        path = write(tmp_path, "t.lts", text)
+        for mode, other in (("literal", "restricted"), ("restricted", "literal")):
+            for command, computed in (("report", [mode, other]), ("decompose", [mode, other]), ("minimal", [mode])):
+                for json_flag in ((), ("--json",)):
+                    scans.clear()
+                    partitions.clear()
+                    code, out, _ = run([command, *json_flag, "--mode", mode, path])
+                    assert code in (0, 1) and out
+                    assert len(scans) == 1, (text, command, mode)
+                    assert [args[1] for args in partitions] == computed, (text, command, mode)
 
 
 _SECTION_KEYS = {

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from conftest import (
     random_arbitrary_splits,
     random_split_systems,
     random_verified_corpus,
+    reference_steps,
 )
 
 
@@ -343,3 +345,58 @@ def test_inconsistent_entry_out_of_reach_is_not_probed():
         ts.reachable(S, 3, "literal")
     with pytest.raises(ts.InconsistentSplit):
         ts.partition(S, "literal")
+
+
+# --- one step scan per split --------------------------------------------------------
+
+
+def test_shared_scan_matches_per_mode_reference():
+    splits = random_split_systems(221, 150, max_dim=6, max_entries=6)
+    splits += [split(T) for T in random_verified_corpus(222, 60, max_dim=8)]
+    splits += random_arbitrary_splits(223, 600)
+    faulty = 0
+    for S in splits:
+        for mode in MODES:
+            steps, faults = reference_steps(S, mode)
+            got = ts.connect._Steps(S, mode)
+            assert (got.steps, got.faults) == (steps, faults), (S, mode)
+            for x, pair in faults.items():
+                # the scan raises map_a's own message at the source's first faulty pair
+                want = outcome(ts.mu, S, x, *map(plain, pair))
+                assert want[0] == "inconsistent"
+                assert outcome(lambda: list(got.of(x))) == want
+                faulty += 1
+    assert faulty > 300
+
+
+def test_memo_leaves_fields_equality_hash_and_repr_alone():
+    for S in random_split_systems(224, 40) + random_arbitrary_splits(225, 40):
+        fresh = ts.SplitSystem(S.sys, S.iset, S.jset, S.mode)
+        before = ([f.name for f in dataclasses.fields(S)], hash(S), repr(S))
+        for mode in MODES:
+            outcome(ts.partition, S, mode)
+            outcome(ts.reachable, S, 1, mode)
+        outcome(ts.mu_multiplicativity_check, S)
+        assert "_mu_steps" in vars(S)
+        assert ([f.name for f in dataclasses.fields(S)], hash(S), repr(S)) == before
+        assert S == fresh and fresh == S and hash(fresh) == hash(S)
+        assert dataclasses.replace(S) == S
+
+
+def test_scan_and_partitions_are_computed_once_per_split(monkeypatch):
+    scans, partitions = [], []
+    scan, compute = ts.connect._scan_steps, ts.connect._partition
+    monkeypatch.setattr(ts.connect, "_scan_steps", lambda S: scans.append(S) or scan(S))
+    monkeypatch.setattr(ts.connect, "_partition", lambda S, mode: partitions.append(mode) or compute(S, mode))
+    for S in lemma_corpus() + random_split_systems(226, 30):
+        scans.clear()
+        partitions.clear()
+        for _ in range(2):
+            for mode in MODES:
+                ts.partition(S, mode)
+                ts.reachable(S, 1, mode)
+                ts.is_minimal(S, mode)
+            ts.mu_multiplicativity_check(S)
+            ts.check_decomposition(S, "literal")
+        assert len(scans) == 1
+        assert partitions == list(MODES)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     make_zero_system,
     random_arbitrary_splits,
     random_split_systems,
+    random_table,
     random_verified_corpus,
 )
 
@@ -64,6 +66,39 @@ def test_components_confinement_violation_restricted():
     assert [c.indices for c in exc.value.components] == [(1,), (2,), (3,)]
     # literal mode keeps the entry inside one class
     assert [c.indices for c in ts.components(S, "literal")] == [(1, 2, 3)]
+
+
+def _labelled(T, rng):
+    labels = {i: f"b{i}" for i in range(1, T.dim + 1) if rng.random() < 0.5}
+    return ts.construct_system(T.dim, T.entries, labels=labels)
+
+
+def test_components_equal_construct_system_of_their_entries():
+    rng = random.Random(71)
+    splits = [split(_labelled(T, rng)) for T in random_verified_corpus(72, 40, max_dim=8)]
+    splits += random_split_systems(73, 60, max_dim=6, max_entries=6)
+    splits += [ts.SplitSystem(_labelled(S.sys, rng), S.iset, S.jset, S.mode) for S in random_arbitrary_splits(74, 300)]
+    built = confined = 0
+    for S in splits:
+        for mode in ("literal", "restricted"):
+            try:
+                comps = ts.components(S, mode)
+            except ts.ConfinementError as err:
+                comps = list(err.components)
+                confined += 1
+            except ts.InconsistentSplit:
+                continue
+            for comp in comps:
+                local = {parent: pos for pos, parent in enumerate(comp.indices, 1)}
+                entries = [
+                    (local[i], local[j], local[k], c, local[m])
+                    for i, j, k, c, m in S.sys.entries
+                    if {i, j, k, m} <= local.keys()
+                ]
+                labels = {local[p]: S.sys.labels[p - 1] for p in comp.indices if S.sys.labels[p - 1] is not None}
+                assert comp.subsystem == ts.construct_system(len(comp.indices), entries, labels=labels)
+                built += 1
+    assert built > 1000 and confined > 20
 
 
 # --- orthogonality ---------------------------------------------------------------
@@ -229,6 +264,44 @@ def test_oracle_jacobson_b_minimal():
 
 def test_oracle_dim1_zero_minimal():
     assert ts.minimality_oracle(split(make_zero_system(1)))
+
+
+def _random_isets(seed, count, max_dim=9):
+    """SplitSystems over random tables of dim 1..max_dim, with a random iset and its complement."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, max_dim)
+        T = random_table(rng, dim, rng.randint(0, 2 * dim))
+        iset = tuple(i for i in range(1, dim + 1) if rng.random() < 0.3)
+        out.append(ts.SplitSystem(T, iset, tuple(i for i in range(1, dim + 1) if i not in iset), "generic"))
+    return out
+
+
+def test_principal_closures_find_the_enumerated_counterexample():
+    splits = _random_isets(75, 4000)
+    splits += random_split_systems(76, 200, max_dim=8, max_entries=10)
+    splits += [split(T) for T in random_verified_corpus(77, 150, max_dim=12)]
+    splits += [split(T) for T in (make_jacobson_a(), make_jacobson_b(), make_nf3_lift(), make_zero_system(12))]
+    found = 0
+    for S in splits:
+        want = ts.decompose._oracle_counterexample(S, 12)
+        assert ts.decompose._principal_counterexample(S) == want, S
+        found += want is not None
+    assert found > 2000 and len(splits) - found > 200
+
+
+def test_is_minimal_verdicts_match_the_exhaustive_oracle():
+    for S in _random_isets(78, 400, max_dim=7) + [split(T) for T in random_verified_corpus(79, 60, max_dim=8)]:
+        for mode in ("literal", "restricted"):
+            try:
+                v = ts.is_minimal(S, mode)
+            except ts.InconsistentSplit:
+                continue
+            if v.oracle_used:
+                assert (v.verdict == "minimal") == ts.minimality_oracle(S)
+            if v.verdict == "not_minimal":
+                assert v.counterexample_ideal == ts.decompose._oracle_counterexample(S, 12)
 
 
 # --- minimality verdicts ------------------------------------------------------------------

@@ -68,6 +68,30 @@ def test_construct_rejects_zero_coeff():
         ts.construct_system(2, [(1, 2, 1, 0, 2)])
 
 
+class _SubFraction(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "build, row",
+    [
+        (ts.construct_system, lambda c: (1, 2, 1, c, 2)),
+        (ts.construct_bilinear, lambda c: (1, 2, c, 2)),
+    ],
+    ids=["system", "bilinear"],
+)
+def test_construct_keeps_fractions_and_converts_the_rest(build, row):
+    coeff = F(-3, 4)
+    (entry,) = build(2, [row(coeff)]).entries
+    assert entry[-2] is coeff
+    for other in (-3, "-3/4", _SubFraction(-3, 4), F(-6, 8)):
+        (entry,) = build(2, [row(other)]).entries
+        assert type(entry[-2]) is Fraction and entry[-2] == F(other)
+    for zero in (F(0), 0, "0", _SubFraction(0)):
+        with pytest.raises(ts.ZeroCoefficient):
+            build(2, [row(zero)])
+
+
 def test_construct_rejects_zero_dim():
     with pytest.raises(ValueError):
         ts.construct_system(0, [])
