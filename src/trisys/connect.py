@@ -11,10 +11,13 @@ all plain and barred indices, which makes the component decomposition work
 by construction.  Restricted mode confines pairs to jset indices and their
 bars; it is the domain on which connections are reversible.
 
-The basis is multiplicative, so mu is nonzero only on table entries:
-one table scan reads the steps of both pair domains, and each split keeps
-that scan and its partitions, so reachability, the partitions and the mu
-check of one split share it.  The pointwise maps replay witnesses.
+The basis is multiplicative, so every mu-step is read off one table entry.
+One memoized pass over the entries records, per split, the step edges
+x -> y of both pair domains, the restricted steps the mu check must test,
+and the faults of each domain; the partitions and the mu check read it.
+Only reachability needs the steps of each source in scan order, for its
+witnesses; it builds them from a second scan, memoized as well.  The
+pointwise maps replay witnesses and faults.
 """
 
 from __future__ import annotations
@@ -184,11 +187,11 @@ class _Steps:
     pointwise scan order: plain pairs, then barred, each lexicographic (jset
     ascending), y ascending.  An entry map_a rejects is a fault of each
     source probing it; the source's steps stop at its first faulty pair.
+    Only reachable reads them, for the order of its witnesses.
     """
 
     def __init__(self, S: SplitSystem, mode: str):
-        if mode not in PARTITION_MODES:
-            raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
+        _check_mode(mode)
         self.S = S
         self.steps, self.faults = _memo(S, "_mu_steps", _scan_steps)[mode]
 
@@ -196,8 +199,18 @@ class _Steps:
         """x's steps in scan order; raises where the pointwise scan of x raises."""
         yield from self.steps.get(x, ())
         if x in self.faults:
-            mu(self.S, x, *map(plain, self.faults[x]))  # raises map_a's own InconsistentSplit
-            raise InternalError(f"mu accepts the pair {self.faults[x]} marked faulty at {x}")
+            _raise_fault(self.S, x, self.faults[x])
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in PARTITION_MODES:
+        raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
+
+
+def _raise_fault(S: SplitSystem, x: int, pair: tuple[int, int]) -> None:
+    """Replay mu at x's least faulty pair, which raises map_a's own InconsistentSplit."""
+    mu(S, x, *map(plain, pair))
+    raise InternalError(f"mu accepts the pair {pair} marked faulty at {x}")
 
 
 def _memo(S: SplitSystem, key: str, build):
@@ -255,6 +268,70 @@ def _scan_steps(S: SplitSystem) -> dict[str, tuple[dict[int, list[Step]], dict[i
                 steps[x] = own + barred_steps
         out[mode] = (steps, faults)
     return out
+
+
+class _EntryPass(NamedTuple):
+    """What the partitions and the mu check read off the table, from one pass.
+
+    edges[mode] are the step edges (x, y) of the pair domain, whose union
+    gives its classes; checks are the restricted steps (t1, barred, p, q,
+    t2), p <= q, that the mu check must look up; faults[mode] maps each
+    faulty source to its least faulty pair, as _Steps does.
+    """
+
+    edges: dict[str, set[tuple[int, int]]]
+    checks: set[tuple[int, bool, int, int, int]]
+    faults: dict[str, dict[int, tuple[int, int]]]
+
+
+def _scan_entries(S: SplitSystem) -> _EntryPass:
+    """One pass over the table: each entry (i,j,k) -> m, slot by slot, as (s, a, b).
+
+    An entry map_a accepts gives the plain edge s -> m in literal mode, and
+    in restricted mode too when a, b lie in jset.  An entry map_a rejects
+    gives a literal fault of s at the lesser order of (a, b), and a
+    restricted one when a, b lie in jset.  A barred step m -(a',b')-> s
+    (map_b) adds no edge: its pair lies in jset, so either the split has a
+    restricted fault and the partition raises, or the entry is accepted and
+    its plain edge s -> m joins the same two indices.
+
+    The checks are every restricted step but the plain ones from slot one,
+    which their own entry realizes.  Realization does not depend on the
+    pair order, so each unordered pair is checked once, as p <= q.
+    """
+    in_i, in_j = S.in_i, S.in_j
+    literal: set[tuple[int, int]] = set()
+    restricted: set[tuple[int, int]] = set()
+    checks: set[tuple[int, bool, int, int, int]] = set()
+    literal_faults: dict[int, tuple[int, int]] = {}
+    restricted_faults: dict[int, tuple[int, int]] = {}
+    for (i, j, k), (_, m) in S.sys.table.items():
+        bad = j in in_i or k in in_i or (i in in_i and m not in in_i)
+        for slot, s, a, b in ((0, i, j, k), (1, j, i, k), (2, k, i, j)):
+            if b < a:
+                a, b = b, a
+            jpair = a in in_j and b in in_j
+            if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
+                checks.add((m, True, a, b, s))
+            if bad:
+                literal_faults[s] = min(literal_faults.get(s, (a, b)), (a, b))
+                if jpair:
+                    restricted_faults[s] = min(restricted_faults.get(s, (a, b)), (a, b))
+                continue
+            literal.add((s, m))
+            if jpair:
+                restricted.add((s, m))
+                if slot:
+                    checks.add((s, False, a, b, m))
+    return _EntryPass(
+        {"literal": literal, "restricted": restricted},
+        checks,
+        {"literal": literal_faults, "restricted": restricted_faults},
+    )
+
+
+def _entry_pass(S: SplitSystem) -> _EntryPass:
+    return _memo(S, "_entry_pass", _scan_entries)
 
 
 def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, ConnectionWitness]:
@@ -338,11 +415,12 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
 def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     """Connection classes of the index set, computed once per split and mode.
 
-    The step closure joins each index with the targets of its mu-steps.
-    Literal mode equals the connected components of the hypergraph with one
-    hyperedge {i, j, k, target} per table entry; those are computed from the
-    entries alone and cross-checked against the step closure.  Restricted
-    mode is the step closure over the confined pair domain.
+    The step closure joins each index with the targets of its mu-steps, the
+    edges of the split's entry pass; a fault raises instead.  Literal mode
+    equals the connected components of the hypergraph with one hyperedge
+    {i, j, k, target} per table entry; those are computed from the entries
+    alone and cross-checked against the step closure.  Restricted mode is
+    the step closure over the confined pair domain.
     """
     return _memo(S, f"_partition_{mode}", lambda S: _partition(S, mode))
 
@@ -353,12 +431,14 @@ def _known_partition(S: SplitSystem, mode: str) -> Partition:
 
 
 def _partition(S: SplitSystem, mode: str) -> Partition:
-    steps = _Steps(S, mode)
-    if steps.faults:
-        for _ in steps.of(min(steps.faults)):  # raises the first faulty source's InconsistentSplit
-            pass
+    _check_mode(mode)
+    found = _entry_pass(S)
+    faults = found.faults[mode]
+    if faults:
+        first = min(faults)
+        _raise_fault(S, first, faults[first])
     n = S.sys.dim
-    closure = _components(n, ((x, y) for x, out in steps.steps.items() for y in {y for _, y in out}))
+    closure = _components(n, found.edges[mode])
     if mode == "restricted":
         return Partition(closure, mode)
     hyper = _components(n, ((i, e) for (i, j, k), (_, m) in S.sys.table.items() for e in (j, k, m)))

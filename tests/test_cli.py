@@ -735,8 +735,10 @@ def test_report_partitions_each_mode_once(tmp_path, monkeypatch):
 
 
 def test_each_command_scans_the_steps_once_and_partitions_each_mode_once(tmp_path, monkeypatch):
-    # both pair domains come from one step scan, kept with the split like its partitions
-    scans = _count_calls(monkeypatch, ts.connect, "_scan_steps")
+    # the partitions and the mu check of both pair domains read one entry pass, kept with the
+    # split like its partitions; the ordered step lists are built for reachability witnesses only
+    scans = _count_calls(monkeypatch, ts.connect, "_scan_entries")
+    ordered = _count_calls(monkeypatch, ts.connect, "_scan_steps")
     partitions = _count_calls(monkeypatch, ts.connect, "_partition")
     for text in (NF3T_TEXT, JA_TEXT, JB_TEXT, CONFINE_TEXT):
         path = write(tmp_path, "t.lts", text)
@@ -744,10 +746,11 @@ def test_each_command_scans_the_steps_once_and_partitions_each_mode_once(tmp_pat
             for command, computed in (("report", [mode, other]), ("decompose", [mode, other]), ("minimal", [mode])):
                 for json_flag in ((), ("--json",)):
                     scans.clear()
+                    ordered.clear()
                     partitions.clear()
                     code, out, _ = run([command, *json_flag, "--mode", mode, path])
                     assert code in (0, 1) and out
-                    assert len(scans) == 1, (text, command, mode)
+                    assert len(scans) == 1 and not ordered, (text, command, mode)
                     assert [args[1] for args in partitions] == computed, (text, command, mode)
 
 

@@ -369,6 +369,79 @@ def test_shared_scan_matches_per_mode_reference():
     assert faulty > 300
 
 
+def error_outcome(fn, *args):
+    """The result, or the name and message of the InconsistentSplit or InternalError raised."""
+    try:
+        return "ok", fn(*args)
+    except (ts.InconsistentSplit, ts.InternalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_fault(S, faults):
+    """Replay mu at the least faulty source's pair, as the pointwise scan reaches it."""
+    x = min(faults)
+    ts.mu(S, x, *map(plain, faults[x]))
+    raise ts.InternalError(f"mu accepts the pair {faults[x]} marked faulty at {x}")
+
+
+def reference_partition(S, mode):
+    """Classes of the reference steps' closure, by breadth-first search over both directions."""
+    steps, faults = reference_steps(S, mode)
+    if faults:
+        reference_fault(S, faults)
+    adjacency = {i: set() for i in range(1, S.sys.dim + 1)}
+    for x, out in steps.items():
+        for _, y in out:
+            adjacency[x].add(y)
+            adjacency[y].add(x)
+    classes, seen = [], set()
+    for start in adjacency:
+        if start not in seen:
+            comp, frontier = {start}, [start]
+            while frontier:
+                frontier = [y for x in frontier for y in adjacency[x] if y not in comp]
+                comp.update(frontier)
+            seen |= comp
+            classes.append(tuple(sorted(comp)))
+    return tuple(classes)
+
+
+def reference_mu_check(S):
+    """The first unrealized restricted step of the reference scan, source by source."""
+    steps, faults = reference_steps(S, "restricted")
+    for t1 in range(1, S.sys.dim + 1):
+        for (b, p, q), t2 in steps.get(t1, ()):
+            if not any(S.sys.table.get(key, (0, None))[1] == t2 for key in ((t1, p, q), (t1, q, p))):
+                return False, ts.MuViolation(t1, (ts.MarkedIndex(p, b), ts.MarkedIndex(q, b)), t2)
+        if t1 in faults:
+            reference_fault(S, {t1: faults[t1]})
+    return True, None
+
+
+def test_entry_pass_matches_reference_steps_and_dense_check():
+    # partitions and first mu violations from the one entry pass, faulty splits included,
+    # against the ordered per-mode reference scan and the dense pointwise mu scan
+    splits = random_split_systems(231, 500, max_dim=6, max_entries=7)
+    splits += [split(T) for T in random_verified_corpus(232, 300, max_dim=8)]
+    splits += random_arbitrary_splits(233, 1200, max_dim=6, max_entries=7)
+    fault_free = violated = faulty = 0
+    for S in splits:
+        for mode in MODES:
+            want = error_outcome(reference_partition, S, mode)
+            assert error_outcome(lambda: ts.partition(S, mode).classes) == want, (S, mode)
+            if mode == "literal" and want[0] == "ok":
+                assert want[1] == oracle_hyperedge_components(S.sys), S
+        want = error_outcome(dense_mu_multiplicativity_check, S)
+        assert error_outcome(reference_mu_check, S) == want, S
+        assert error_outcome(ts.mu_multiplicativity_check, S) == want, S
+        if reference_steps(S, "literal")[1]:
+            faulty += 1
+        else:
+            fault_free += 1
+            violated += not want[1][0]
+    assert fault_free >= 1000 and violated >= 300 and faulty >= 300, (fault_free, violated, faulty)
+
+
 def test_memo_leaves_fields_equality_hash_and_repr_alone():
     for S in random_split_systems(224, 40) + random_arbitrary_splits(225, 40):
         fresh = ts.SplitSystem(S.sys, S.iset, S.jset, S.mode)
@@ -384,12 +457,14 @@ def test_memo_leaves_fields_equality_hash_and_repr_alone():
 
 
 def test_scan_and_partitions_are_computed_once_per_split(monkeypatch):
-    scans, partitions = [], []
-    scan, compute = ts.connect._scan_steps, ts.connect._partition
+    scans, passes, partitions = [], [], []
+    scan, entry_pass, compute = ts.connect._scan_steps, ts.connect._scan_entries, ts.connect._partition
     monkeypatch.setattr(ts.connect, "_scan_steps", lambda S: scans.append(S) or scan(S))
+    monkeypatch.setattr(ts.connect, "_scan_entries", lambda S: passes.append(S) or entry_pass(S))
     monkeypatch.setattr(ts.connect, "_partition", lambda S, mode: partitions.append(mode) or compute(S, mode))
     for S in lemma_corpus() + random_split_systems(226, 30):
         scans.clear()
+        passes.clear()
         partitions.clear()
         for _ in range(2):
             for mode in MODES:
@@ -398,5 +473,5 @@ def test_scan_and_partitions_are_computed_once_per_split(monkeypatch):
                 ts.is_minimal(S, mode)
             ts.mu_multiplicativity_check(S)
             ts.check_decomposition(S, "literal")
-        assert len(scans) == 1
+        assert len(scans) == 1 and len(passes) == 1
         assert partitions == list(MODES)

@@ -1,0 +1,160 @@
+"""Replay the connection classes and mu violations that the CLI writes.
+
+Every `decompose --json`, `minimal --json` and `report --json` document is
+checked against its input text with entry-level predicates written out
+here: the table is read from the `prod` lines, the split from the `split
+--json` document of the same file and flags, and nothing is imported from
+the connection or decomposition layers.
+
+- The classes partition 1..dim, and each class is connected through the
+  entries: two indices are adjacent when one entry holds both.
+- Literal classes confine every entry: its four indices lie in one class.
+- A mu violation names a restricted step (a jset pair) whose entry exists,
+  and no product (t1, p, q) or (t1, q, p) targets t2.
+"""
+
+from __future__ import annotations
+
+import io
+import itertools
+import json
+import pathlib
+import re
+import sys
+
+import trisys as ts
+from trisys.cli import run_command
+from conftest import (
+    make_jacobson_a,
+    make_jacobson_b,
+    make_nf3_lift,
+    random_arbitrary_splits,
+    random_split_systems,
+    random_verified_corpus,
+)
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's seeded corpora)
+
+MODES = ("literal", "restricted")
+
+# the inputs of the acceptance suite's CLI criterion that split
+_ACCEPTANCE_TEXTS = (
+    "dim 2\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\n",
+    "dim 3\nprod 1 1 1 = 1 * 3\n",
+    "dim 4\nprod 3 4 3 = 1 * 1\nprod 4 3 3 = 1 * 2\n",
+)
+
+
+def read_table(text):
+    """(dim, {(i, j, k): target}) from the input's `dim` and `prod i j k = c * m` lines."""
+    dim, table = 0, {}
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] == ["dim"]:
+            dim = int(words[1])
+        elif words[:1] == ["prod"]:
+            table[tuple(map(int, words[1:4]))] = int(words[7])
+    return dim, table
+
+
+def check_classes(dim, table, classes, literal):
+    assert sorted(x for cls in classes for x in cls) == list(range(1, dim + 1)), classes
+    together = {x: set() for x in range(1, dim + 1)}
+    for key, m in table.items():
+        held = {*key, m}
+        for x in held:
+            together[x] |= held
+    for cls in classes:
+        members = set(cls)
+        reached, frontier = {cls[0]}, [cls[0]]
+        while frontier:
+            frontier = [y for x in frontier for y in together[x] & members if y not in reached]
+            reached.update(frontier)
+        assert reached == members, (cls, table)
+    if literal:
+        owner = {x: n for n, cls in enumerate(classes) for x in cls}
+        for key, m in table.items():
+            assert len({owner[x] for x in (*key, m)}) == 1, (key, m, classes)
+
+
+_VIOLATION = re.compile(r"t1=(\d+) pair=\((\d+)('?),(\d+)('?)\) t2=(\d+)")
+
+
+def check_mu_violation(table, iset, jset, section):
+    """Replay the section's mu violation; returns 'plain', 'barred' or None when there is none."""
+    if section["mu_multiplicative"]:
+        assert section["mu_violation"] is None
+        return None
+    t1, p, p_bar, q, q_bar, t2 = _VIOLATION.fullmatch(section["mu_violation"]).groups()
+    t1, p, q, t2 = int(t1), int(p), int(q), int(t2)
+    assert p_bar == q_bar and p in jset and q in jset, section
+    assert table.get((t1, p, q)) != t2 and table.get((t1, q, p)) != t2, section
+    if not p_bar:
+        # a plain step: an entry keyed by a permutation of (t1, p, q) targets t2
+        assert any(table.get(key) == t2 for key in itertools.permutations((t1, p, q))), section
+        return "plain"
+    # a barred step: an entry targets t1 with t2 in one slot and p, q in the other two
+    assert any(
+        m == t1
+        and key[s] == t2
+        and sorted(key[:s] + key[s + 1:]) == sorted((p, q))
+        and (t2 in jset or (s == 0 and t1 in iset and t2 in iset))
+        for key, m in table.items()
+        for s in range(3)
+    ), section
+    return "barred"
+
+
+def run(argv):
+    out = io.StringIO()
+    code = run_command(argv, out=out, err=io.StringIO())
+    return code, out.getvalue()
+
+
+def replay_documents(path, text, flags, commands, seen):
+    """Check each command's --json document in both modes; seen counts what was checked."""
+    code, out = run(["split", "--json", *flags, path])
+    if code != 0:
+        return
+    split = json.loads(out)
+    iset, jset = set(split["iset"]), set(split["jset"])
+    dim, table = read_table(text)
+    for mode, command in itertools.product(MODES, commands):
+        doc = json.loads(run([command, "--json", "--mode", mode, *flags, path])[1])
+        for name, section in doc.items() if command == "report" else [(command, doc)]:
+            if name == "decompose" and "classes" in section:
+                check_classes(dim, table, section["classes"], mode == "literal")
+                seen[f"classes {mode}"] += 1
+            elif name == "minimal" and "mu_violation" in section:
+                seen[f"violation {check_mu_violation(table, iset, jset, section)}"] += 1
+
+
+def test_classes_and_mu_violations_replay(tmp_path):
+    seen = dict.fromkeys(
+        ("classes literal", "classes restricted", "violation None", "violation plain", "violation barred"), 0
+    )
+    inputs = [(text, ()) for text in _ACCEPTANCE_TEXTS]
+    systems = [make_jacobson_a(), make_jacobson_b(), make_nf3_lift()]
+    systems += [S.sys for S in random_split_systems(211, 130, max_dim=5)]  # the acceptance lemma corpus
+    systems += random_verified_corpus(223, 80, max_dim=5)
+    systems += [S.sys for S in random_split_systems(241, 120, max_dim=6, max_entries=6)]
+    systems += random_verified_corpus(242, 60, max_dim=8)
+    inputs += [(ts.serialize_system(T), ()) for T in systems]
+    inputs += [
+        (ts.serialize_system(S.sys), ("--generic", ",".join(map(str, S.iset))))
+        for S in random_arbitrary_splits(243, 300)
+        if S.iset
+    ]
+    for n, (text, flags) in enumerate(inputs):
+        path = tmp_path / f"c{n}.lts"
+        path.write_text(text, encoding="utf-8")
+        replay_documents(str(path), text, flags, ("decompose", "minimal", "report"), seen)
+    bench = [(op, "report") for op in workloads.build_ops(workloads.WORKLOADS["report-sparse"], 1)]
+    bench += [(op, op.argv[0]) for op in workloads.build_ops(workloads.WORKLOADS["structure-wide"], 1)]
+    for op, command in bench:
+        path = tmp_path / f"{op.key}.tri"
+        text = op.system.text()
+        path.write_text(text, encoding="utf-8")
+        replay_documents(str(path), text, op.argv[1:], (command,), seen)
+    assert min(seen.values()) >= 50 and seen["classes literal"] >= 800, seen
