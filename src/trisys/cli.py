@@ -32,7 +32,6 @@ from .errors import (
     NotLeibniz,
     NotMultiplicative,
     ParseError,
-    TriSysError,
     ZeroCoefficient,
 )
 from .exactnum import coordinate_space, rat_canon, rat_str

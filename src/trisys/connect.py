@@ -12,18 +12,16 @@ by construction.  Restricted mode confines pairs to jset indices and their
 bars; it is the domain on which connections are reversible.
 
 The basis is multiplicative, so every mu-step is read off one table entry.
-One memoized pass over the entries records, per split, the step edges
-x -> y of both pair domains, the restricted steps the mu check must test,
-and the faults of each domain; the partitions and the mu check read it.
-Only reachability needs the steps of each source in scan order, for its
-witnesses; it builds them from a second scan, memoized as well.  The
-pointwise maps replay witnesses and faults.
+One memoized pass over the entries records, per split, the labeled steps
+of both pair domains and the faults of each domain.  The partitions union
+the steps' ends, the mu check looks the restricted steps up among the
+products, and reachability sorts its domain's steps by source for its
+witnesses.  The pointwise maps replay witnesses and faults.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from collections.abc import Iterator
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -175,33 +173,6 @@ def phi(S: SplitSystem, K, p: MarkedIndex, q: MarkedIndex) -> frozenset[int]:
     return frozenset(out)
 
 
-Step = tuple[tuple[bool, int, int], int]  # ((barred, p, q), y) with y in mu(x, p, q)
-
-
-class _Steps:
-    """Every nonzero mu-step of one pair domain, read from the split's memoized step scan.
-
-    A plain step x -(p,q)-> y is an entry keyed by a permutation of (x,p,q)
-    with target y; a barred step x -(p',q')-> y is an entry with target x,
-    y in one slot and p, q in the other two (map_b).  Steps keep the
-    pointwise scan order: plain pairs, then barred, each lexicographic (jset
-    ascending), y ascending.  An entry map_a rejects is a fault of each
-    source probing it; the source's steps stop at its first faulty pair.
-    Only reachable reads them, for the order of its witnesses.
-    """
-
-    def __init__(self, S: SplitSystem, mode: str):
-        _check_mode(mode)
-        self.S = S
-        self.steps, self.faults = _memo(S, "_mu_steps", _scan_steps)[mode]
-
-    def of(self, x: int) -> Iterator[Step]:
-        """x's steps in scan order; raises where the pointwise scan of x raises."""
-        yield from self.steps.get(x, ())
-        if x in self.faults:
-            _raise_fault(self.S, x, self.faults[x])
-
-
 def _check_mode(mode: str) -> None:
     if mode not in PARTITION_MODES:
         raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
@@ -224,85 +195,34 @@ def _memo(S: SplitSystem, key: str, build):
     return memo[key]
 
 
-def _scan_steps(S: SplitSystem) -> dict[str, tuple[dict[int, list[Step]], dict[int, tuple[int, int]]]]:
-    """The steps and faults of both pair domains, {mode: (steps, faults)}, from one table scan.
-
-    Restricted plain steps and faults are the literal ones whose pair lies in
-    jset; barred steps are the same in both domains.  A source with a fault
-    keeps only its plain steps before the faulty pair, since every barred
-    step sorts after every plain one.
-    """
-    in_i, in_j = S.in_i, S.in_j
-    plain_found: dict[int, set[Step]] = defaultdict(set)
-    barred_found: dict[int, set[Step]] = defaultdict(set)
-    literal_faults: dict[int, tuple[int, int]] = {}
-    restricted_faults: dict[int, tuple[int, int]] = {}
-    for (i, j, k), (_, m) in S.sys.table.items():
-        bad = j in in_i or k in in_i or (i in in_i and m not in in_i)
-        for slot, (s, a, b) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
-            jpair = a in in_j and b in in_j
-            if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
-                barred_found[m].update((((True, a, b), s), ((True, b, a), s)))
-            if not bad:
-                plain_found[s].update((((False, a, b), m), ((False, b, a), m)))
-                continue
-            literal_faults[s] = min(literal_faults.get(s, (a, b)), (a, b), (b, a))
-            if jpair:
-                restricted_faults[s] = min(restricted_faults.get(s, (a, b)), (a, b), (b, a))
-    ordered = {
-        x: (sorted(plain_found.get(x, ())), sorted(barred_found.get(x, ())))
-        for x in plain_found.keys() | barred_found.keys()
-    }
-    out = {}
-    for mode, faults in (("literal", literal_faults), ("restricted", restricted_faults)):
-        steps: dict[int, list[Step]] = {}
-        for x, (own, barred_steps) in ordered.items():
-            if mode == "restricted":
-                own = [st for st in own if st[0][1] in in_j and st[0][2] in in_j]
-            if not (own or barred_steps):
-                continue
-            if x in faults:
-                stop = (False, *faults[x])
-                steps[x] = [st for st in own if st[0] < stop]
-            else:
-                steps[x] = own + barred_steps
-        out[mode] = (steps, faults)
-    return out
+MuStep = tuple[int, bool, int, int, int]  # (x, barred, p, q, y): y in mu(x, p, q), p <= q
 
 
 class _EntryPass(NamedTuple):
-    """What the partitions and the mu check read off the table, from one pass.
+    """The mu-steps and faults of both pair domains, read off the table in one pass.
 
-    edges[mode] are the step edges (x, y) of the pair domain, whose union
-    gives its classes; checks are the restricted steps (t1, barred, p, q,
-    t2), p <= q, that the mu check must look up; faults[mode] maps each
-    faulty source to its least faulty pair, as _Steps does.
+    steps[mode] holds every nonzero mu-step of the pair domain once, with
+    its pair in ascending order (mu is symmetric in its pair); faults[mode]
+    maps each faulty source to its least faulty pair, the pair at which the
+    pointwise scan of that source raises.
     """
 
-    edges: dict[str, set[tuple[int, int]]]
-    checks: set[tuple[int, bool, int, int, int]]
+    steps: dict[str, set[MuStep]]
     faults: dict[str, dict[int, tuple[int, int]]]
 
 
 def _scan_entries(S: SplitSystem) -> _EntryPass:
     """One pass over the table: each entry (i,j,k) -> m, slot by slot, as (s, a, b).
 
-    An entry map_a accepts gives the plain edge s -> m in literal mode, and
-    in restricted mode too when a, b lie in jset.  An entry map_a rejects
-    gives a literal fault of s at the lesser order of (a, b), and a
-    restricted one when a, b lie in jset.  A barred step m -(a',b')-> s
-    (map_b) adds no edge: its pair lies in jset, so either the split has a
-    restricted fault and the partition raises, or the entry is accepted and
-    its plain edge s -> m joins the same two indices.
-
-    The checks are every restricted step but the plain ones from slot one,
-    which their own entry realizes.  Realization does not depend on the
-    pair order, so each unordered pair is checked once, as p <= q.
+    An entry map_a accepts gives the plain step s -(a,b)-> m in literal
+    mode, and in restricted mode too when a, b lie in jset.  An entry map_a
+    rejects gives a literal fault of s at (a, b) instead, and a restricted
+    one when a, b lie in jset.  A barred step m -(a',b')-> s (map_b) has its
+    pair in jset, so it lies in both domains.
     """
     in_i, in_j = S.in_i, S.in_j
-    literal: set[tuple[int, int]] = set()
-    restricted: set[tuple[int, int]] = set()
-    checks: set[tuple[int, bool, int, int, int]] = set()
+    literal: set[MuStep] = set()
+    restricted: set[MuStep] = set()
     literal_faults: dict[int, tuple[int, int]] = {}
     restricted_faults: dict[int, tuple[int, int]] = {}
     for (i, j, k), (_, m) in S.sys.table.items():
@@ -312,20 +232,18 @@ def _scan_entries(S: SplitSystem) -> _EntryPass:
                 a, b = b, a
             jpair = a in in_j and b in in_j
             if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
-                checks.add((m, True, a, b, s))
+                literal.add((m, True, a, b, s))
+                restricted.add((m, True, a, b, s))
             if bad:
                 literal_faults[s] = min(literal_faults.get(s, (a, b)), (a, b))
                 if jpair:
                     restricted_faults[s] = min(restricted_faults.get(s, (a, b)), (a, b))
                 continue
-            literal.add((s, m))
+            literal.add((s, False, a, b, m))
             if jpair:
-                restricted.add((s, m))
-                if slot:
-                    checks.add((s, False, a, b, m))
+                restricted.add((s, False, a, b, m))
     return _EntryPass(
         {"literal": literal, "restricted": restricted},
-        checks,
         {"literal": literal_faults, "restricted": restricted_faults},
     )
 
@@ -334,20 +252,40 @@ def _entry_pass(S: SplitSystem) -> _EntryPass:
     return _memo(S, "_entry_pass", _scan_entries)
 
 
+def _ordered_steps(S: SplitSystem, mode: str) -> dict[int, list[tuple[bool, int, int, int]]]:
+    """The mode's steps (barred, p, q, y) of each source, in the pointwise scan's order.
+
+    That order is plain pairs, then barred, each lexicographic, y ascending.
+    The pass keeps each step as p <= q only, which loses no witness: the
+    least label (barred, p, q) of a step x -> y has p <= q.
+    """
+    out: dict[int, list[tuple[bool, int, int, int]]] = {}
+    for x, b, p, q, y in sorted(_entry_pass(S).steps[mode]):
+        out.setdefault(x, []).append((b, p, q, y))
+    return out
+
+
 def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, ConnectionWitness]:
     """Breadth-first closure of one-step reachability from k, with witnesses.
 
     The source is always reachable through the trivial witness.  Witness
     choice is deterministic: queue order, pairs in domain order, elements
-    of each mu-set sorted.
+    of each mu-set sorted.  Reaching a faulty source raises its fault, and
+    k outside 1..dim raises IndexError.
     """
-    steps = _Steps(S, mode)
+    _check_mode(mode)
+    if not 1 <= k <= S.sys.dim:
+        raise IndexError(f"index {k} out of range 1..{S.sys.dim}")
+    steps = _memo(S, f"_ordered_steps_{mode}", lambda S: _ordered_steps(S, mode))
+    faults = _entry_pass(S).faults[mode]
     found = {k: ConnectionWitness((plain(k),), k)}
     queue = deque([k])
     while queue:
         x = queue.popleft()
+        if x in faults:
+            _raise_fault(S, x, faults[x])
         wx = found[x]
-        for (b, p, q), y in steps.of(x):
+        for b, p, q, y in steps.get(x, ()):
             if y not in found:
                 pair = (MarkedIndex(p, b), MarkedIndex(q, b))
                 found[y] = ConnectionWitness(wx.elements + pair, y)
@@ -358,6 +296,8 @@ def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, Connec
 def validate_witness(S: SplitSystem, w: ConnectionWitness) -> bool:
     """Replay a witness: every stage nonempty and the target in the last one."""
     if len(w.elements) % 2 == 0 or w.elements[0].barred:
+        return False
+    if not (1 <= w.source <= S.sys.dim and 1 <= w.target <= S.sys.dim):
         return False
     if not w.pairs:
         return w.target == w.source
@@ -415,19 +355,16 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
 def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     """Connection classes of the index set, computed once per split and mode.
 
-    The step closure joins each index with the targets of its mu-steps, the
-    edges of the split's entry pass; a fault raises instead.  Literal mode
+    The step closure joins each index with the targets of its mu-steps,
+    read off the split's entry pass; a fault raises instead.  A barred step
+    joins nothing new: either its entry is faulty and the partition raises,
+    or the entry's plain step joins the same two indices.  Literal mode
     equals the connected components of the hypergraph with one hyperedge
     {i, j, k, target} per table entry; those are computed from the entries
     alone and cross-checked against the step closure.  Restricted mode is
     the step closure over the confined pair domain.
     """
     return _memo(S, f"_partition_{mode}", lambda S: _partition(S, mode))
-
-
-def _known_partition(S: SplitSystem, mode: str) -> Partition:
-    """partition(S, mode), read from the memo without a call when a caller already computed it."""
-    return vars(S).get(f"_partition_{mode}") or partition(S, mode)
 
 
 def _partition(S: SplitSystem, mode: str) -> Partition:
@@ -438,7 +375,7 @@ def _partition(S: SplitSystem, mode: str) -> Partition:
         first = min(faults)
         _raise_fault(S, first, faults[first])
     n = S.sys.dim
-    closure = _components(n, found.edges[mode])
+    closure = _components(n, ((x, y) for x, _, _, _, y in found.steps[mode]))
     if mode == "restricted":
         return Partition(closure, mode)
     hyper = _components(n, ((i, e) for (i, j, k), (_, m) in S.sys.table.items() for e in (j, k, m)))

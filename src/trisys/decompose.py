@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, ConfinementError, TheoremViolation
 from .jideal import SplitSystem, _successor_closure, _successors
-from .connect import MarkedIndex, Partition, _entry_pass, _known_partition, _raise_fault, partition
+from .connect import MarkedIndex, Partition, _entry_pass, _raise_fault, partition
 from .system import Entry, TripleSystem
 
 DEFAULT_ORACLE_CAP = 12
@@ -192,8 +192,9 @@ def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]
 
     Costs the split's memoized entry pass, one set of the steps the table's
     products realize (two per entry) and one set difference against the
-    pass's checks, at most five per entry; unlike a scan that stops at the
-    first failure, it visits every entry.
+    pass's restricted steps; a plain step from slot one is its own entry's
+    product, so it never fails.  Unlike a scan that stops at the first
+    failure, it visits every entry.
     """
     found = _entry_pass(S)
     # the steps (t1, barred, s1, s2, t2), s1 <= s2, that a product {v_t1, u_s1, u_s2} = c v_t2 realizes
@@ -202,7 +203,7 @@ def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]
         for (i, j, k), (_, m) in S.sys.table.items()
         for b in (False, True)
     }
-    first = min(found.checks - realized, default=None)
+    first = min(found.steps["restricted"] - realized, default=None)
     faults = found.faults["restricted"]
     if faults:
         x = min(faults)
@@ -273,9 +274,7 @@ def _principal_counterexample(S: SplitSystem) -> tuple[int, ...] | None:
     return best
 
 
-def is_minimal(
-    S: SplitSystem, mode: str = "literal", oracle_cap: int = DEFAULT_ORACLE_CAP, part: Partition | None = None
-) -> MinimalityVerdict:
+def is_minimal(S: SplitSystem, mode: str = "literal", oracle_cap: int = DEFAULT_ORACLE_CAP) -> MinimalityVerdict:
     """Minimality verdict.
 
     When the basis is mu-multiplicative the verdict follows the
@@ -285,10 +284,10 @@ def is_minimal(
     criterion_inapplicable.  Up to the cap, a not_minimal verdict carries
     the first counterexample ideal, the least principal closure that is
     neither iset nor the whole index set: polynomial, and the same ideal
-    the exhaustive enumeration finds first.  `part` is partition(S, mode)
-    if the caller has it; the split's own memo is read otherwise.
+    the exhaustive enumeration finds first.  The classes are partition(S,
+    mode), memoized on the split.
     """
-    part = part if part is not None and part.mode == mode else _known_partition(S, mode)
+    part = partition(S, mode)
     i_conn = len({part.class_of[i] for i in S.iset}) <= 1
     j_conn = len({part.class_of[j] for j in S.jset}) <= 1
     mu_ok, violation = mu_multiplicativity_check(S)

@@ -722,23 +722,28 @@ def test_decompose_partitions_each_mode_once(tmp_path, monkeypatch):
 
 
 def test_report_partitions_each_mode_once(tmp_path, monkeypatch):
-    # the minimal section reuses the decomposition's partition of the requested mode
+    # the minimal section reuses the decomposition's partition of the requested mode:
+    # its call reads the split's memo and computes nothing
     partitions = _count_calls(monkeypatch, ts.connect, "partition")
+    computed = _count_calls(monkeypatch, ts.connect, "_partition")
     for text in (NF3T_TEXT, JA_TEXT, CONFINE_TEXT):
         path = write(tmp_path, "t.lts", text)
         for mode in ("literal", "restricted"):
+            other = "restricted" if mode == "literal" else "literal"
             for json_flag in ((), ("--json",)):
                 partitions.clear()
+                computed.clear()
                 code, out, _ = run(["report", *json_flag, "--mode", mode, path])
                 assert code in (0, 1) and out
-                assert [args[1] for args in partitions] == [mode, "restricted" if mode == "literal" else "literal"]
+                assert [args[1] for args in computed] == [mode, other]
+                assert [args[1] for args in partitions] == [mode, other, mode]
 
 
 def test_each_command_scans_the_steps_once_and_partitions_each_mode_once(tmp_path, monkeypatch):
     # the partitions and the mu check of both pair domains read one entry pass, kept with the
-    # split like its partitions; the ordered step lists are built for reachability witnesses only
+    # split like its partitions; the per-source step order is built for reachability witnesses only
     scans = _count_calls(monkeypatch, ts.connect, "_scan_entries")
-    ordered = _count_calls(monkeypatch, ts.connect, "_scan_steps")
+    ordered = _count_calls(monkeypatch, ts.connect, "_ordered_steps")
     partitions = _count_calls(monkeypatch, ts.connect, "_partition")
     for text in (NF3T_TEXT, JA_TEXT, JB_TEXT, CONFINE_TEXT):
         path = write(tmp_path, "t.lts", text)

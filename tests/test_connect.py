@@ -335,6 +335,17 @@ def test_reachable_rejects_unknown_mode(nf3_split):
         ts.partition(nf3_split, "dense")
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_reachable_and_validate_witness_refuse_indices_outside_the_basis(mode):
+    S = ts.split_system(ts.construct_system(3, [(1, 1, 1, 1, 3)]))
+    for k in (0, -1, S.sys.dim + 1):
+        with pytest.raises(IndexError):
+            ts.reachable(S, k, mode)
+        assert not ts.validate_witness(S, ts.ConnectionWitness((plain(k),), k))
+        assert not ts.validate_witness(S, ts.ConnectionWitness((plain(1), plain(1), plain(1)), k))
+        assert not ts.validate_witness(S, ts.ConnectionWitness((plain(k), plain(1), plain(1)), 3))
+
+
 def test_inconsistent_entry_out_of_reach_is_not_probed():
     # 3 is declared an ideal index, so the entry {v3,u3,u3} is inconsistent;
     # nothing reaches 3 from 1, and only the closure over all sources sees it
@@ -351,20 +362,33 @@ def test_inconsistent_entry_out_of_reach_is_not_probed():
 
 
 def test_shared_scan_matches_per_mode_reference():
+    # the entry pass keeps each step once, as p <= q; a faulty source keeps all of its steps,
+    # which reachability never reads, since it raises on reaching the source
     splits = random_split_systems(221, 150, max_dim=6, max_entries=6)
     splits += [split(T) for T in random_verified_corpus(222, 60, max_dim=8)]
     splits += random_arbitrary_splits(223, 600)
     faulty = 0
     for S in splits:
+        found = ts.connect._scan_entries(S)
         for mode in MODES:
             steps, faults = reference_steps(S, mode)
-            got = ts.connect._Steps(S, mode)
-            assert (got.steps, got.faults) == (steps, faults), (S, mode)
+            assert found.faults[mode] == faults, (S, mode)
+            got: dict[int, set] = {}
+            for x, b, p, q, y in found.steps[mode]:
+                assert p <= q, (S, mode)
+                got.setdefault(x, set()).add(((b, p, q), y))
+            for x in range(1, S.sys.dim + 1):
+                want = {((b, p, q), y) for (b, p, q), y in steps.get(x, ()) if p <= q}
+                own = got.get(x, set())
+                if x in faults:
+                    # the reference keeps only the steps before the least faulty pair
+                    own = {st for st in own if st[0] < (False, *faults[x])}
+                assert own == want, (S, mode, x)
             for x, pair in faults.items():
-                # the scan raises map_a's own message at the source's first faulty pair
+                # reachability raises map_a's own message at the source's first faulty pair
                 want = outcome(ts.mu, S, x, *map(plain, pair))
                 assert want[0] == "inconsistent"
-                assert outcome(lambda: list(got.of(x))) == want
+                assert outcome(ts.reachable, S, x, mode) == want
                 faulty += 1
     assert faulty > 300
 
@@ -450,20 +474,20 @@ def test_memo_leaves_fields_equality_hash_and_repr_alone():
             outcome(ts.partition, S, mode)
             outcome(ts.reachable, S, 1, mode)
         outcome(ts.mu_multiplicativity_check, S)
-        assert "_mu_steps" in vars(S)
+        assert {"_entry_pass", "_ordered_steps_literal", "_ordered_steps_restricted"} <= set(vars(S))
         assert ([f.name for f in dataclasses.fields(S)], hash(S), repr(S)) == before
         assert S == fresh and fresh == S and hash(fresh) == hash(S)
         assert dataclasses.replace(S) == S
 
 
 def test_scan_and_partitions_are_computed_once_per_split(monkeypatch):
-    scans, passes, partitions = [], [], []
-    scan, entry_pass, compute = ts.connect._scan_steps, ts.connect._scan_entries, ts.connect._partition
-    monkeypatch.setattr(ts.connect, "_scan_steps", lambda S: scans.append(S) or scan(S))
+    orderings, passes, partitions = [], [], []
+    order, entry_pass, compute = ts.connect._ordered_steps, ts.connect._scan_entries, ts.connect._partition
+    monkeypatch.setattr(ts.connect, "_ordered_steps", lambda S, mode: orderings.append(mode) or order(S, mode))
     monkeypatch.setattr(ts.connect, "_scan_entries", lambda S: passes.append(S) or entry_pass(S))
     monkeypatch.setattr(ts.connect, "_partition", lambda S, mode: partitions.append(mode) or compute(S, mode))
     for S in lemma_corpus() + random_split_systems(226, 30):
-        scans.clear()
+        orderings.clear()
         passes.clear()
         partitions.clear()
         for _ in range(2):
@@ -473,5 +497,5 @@ def test_scan_and_partitions_are_computed_once_per_split(monkeypatch):
                 ts.is_minimal(S, mode)
             ts.mu_multiplicativity_check(S)
             ts.check_decomposition(S, "literal")
-        assert len(scans) == 1 and len(passes) == 1
-        assert partitions == list(MODES)
+        assert len(passes) == 1
+        assert orderings == partitions == list(MODES)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -427,11 +428,24 @@ def test_decomposition_partition_shared_with_is_minimal():
                 continue
             shared_part = ts.Partition(tuple(comp.indices for comp in report.components), mode)
             assert shared_part == part
-            alone = _outcome(ts.is_minimal, S, mode)
-            assert _outcome(ts.is_minimal, S, mode, part=shared_part) == alone
-            other_part = _outcome(ts.partition, S, other)
-            if not isinstance(other_part, str):
-                # a partition of the other mode is not taken for this one
-                assert _outcome(ts.is_minimal, S, mode, part=other_part) == alone
+            # the verdict reads the decomposition's classes, and a fresh split gives the same one
+            verdict = _outcome(ts.is_minimal, S, mode)
+            assert _outcome(ts.is_minimal, ts.SplitSystem(S.sys, S.iset, S.jset, S.mode), mode) == verdict
+            if not isinstance(verdict, str):
+                assert verdict.i_connected == (len({shared_part.class_of[i] for i in S.iset}) <= 1)
+                assert verdict.j_connected == (len({shared_part.class_of[j] for j in S.jset}) <= 1)
+            # the other mode's partition leaves this mode's verdict alone
+            _outcome(ts.partition, S, other)
+            assert _outcome(ts.is_minimal, S, mode) == verdict
             shared += 1
     assert shared > 300 and raised > 100
+
+
+def test_is_minimal_takes_no_partition_from_the_caller():
+    # a caller's partition once replaced the split's own, so a wrong one gave a wrong verdict
+    assert list(inspect.signature(ts.is_minimal).parameters) == ["S", "mode", "oracle_cap"]
+    S = ts.split_system(ts.construct_system(2, []))
+    verdict = ts.is_minimal(S, "literal")
+    assert (verdict.verdict, verdict.counterexample_ideal) == ("not_minimal", (1,))
+    with pytest.raises(TypeError):
+        ts.is_minimal(S, "literal", part=ts.Partition(((1, 2),), "literal"))
