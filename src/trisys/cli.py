@@ -220,8 +220,7 @@ def _split_section(S) -> dict:
 def _decompose_section(S, args) -> tuple[int, dict]:
     report = check_decomposition(S, args.mode)
     # the components' indices are the requested mode's partition, so
-    # modes_agree partitions only the other mode, after the requested one,
-    # which keeps the first InconsistentSplit raised
+    # modes_agree partitions only the other mode
     classes = tuple([comp.indices for comp in report.components])
     other = "restricted" if args.mode == "literal" else "literal"
     section = {

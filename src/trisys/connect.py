@@ -11,12 +11,12 @@ all plain and barred indices, which makes the component decomposition work
 by construction.  Restricted mode confines pairs to jset indices and their
 bars; it is the domain on which connections are reversible.
 
-The basis is multiplicative, so every mu-step is read off one table entry.
-One memoized pass over the entries records, per split, the labeled steps
-of both pair domains and the faults of each domain.  The partitions union
-the steps' ends, the mu check looks the restricted steps up among the
-products, and reachability sorts its domain's steps by source for its
-witnesses.  The pointwise maps replay witnesses and faults.
+The basis is multiplicative and a split fits every entry, so each entry
+gives mu-steps and nothing else.  One memoized pass over the entries records,
+per split, the labeled steps of both pair domains.  The partitions union the
+steps' ends, the mu check looks the restricted steps up among the products,
+and reachability sorts its domain's steps by source for its witnesses.  The
+pointwise maps replay witnesses.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InconsistentSplit, InternalError, NotReversible
+from .errors import InternalError, NotReversible
 from .jideal import SplitSystem
 
 PARTITION_MODES = ("literal", "restricted")
@@ -91,41 +91,19 @@ class Partition:
 
 
 def map_a(S: SplitSystem, k1: int, k2: int, k3: int) -> frozenset[int]:
-    """Direct product relation on plain indices.
+    """Direct product relation on plain indices: the target of the entry at (k1, k2, k3), if any.
 
-    Nonzero only when the slots fit the split: an iset index may appear in
-    the first slot only, and its product must land back in the iset span.
-    A nonzero table entry in any other pattern means the split itself is
-    wrong, which is an error rather than a silent empty set.
+    The split fits every entry: an iset index sits in slot one only, and its product lands in iset.
     """
-    in_i = S.in_i
     entry = S.sys.table.get((k1, k2, k3))
-    if k2 in in_i or k3 in in_i:
-        if entry is not None:
-            raise InconsistentSplit(
-                f"nonzero product at {(k1, k2, k3)} with an iset index in slot 2 or 3"
-            )
-        return frozenset()
-    if k1 in in_i:
-        if entry is None:
-            return frozenset()
-        _, m = entry
-        if m not in in_i:
-            raise InconsistentSplit(
-                f"product at {(k1, k2, k3)} starts in the ideal but lands outside it"
-            )
-        return frozenset((m,))
-    if entry is None:
-        return frozenset()
-    return frozenset((entry[1],))
+    return frozenset() if entry is None else frozenset((entry[1],))
 
 
 def map_b(S: SplitSystem, k: int, m1: MarkedIndex, m2: MarkedIndex) -> frozenset[int]:
     """Reverse product relation: which indices produce k using the barred pair.
 
-    Nonempty only for barred jset pairs.  For k in iset the candidates are
-    the iset first-slot case plus the three jset slot cases; for k in jset
-    only the three jset slot cases apply.
+    Nonempty only for barred jset pairs: s produces k when an entry with s
+    in one slot and the pair in the other two targets k.
     """
     in_j = S.in_j
     if not (m1.barred and m2.barred and m1.index in in_j and m2.index in in_j):
@@ -133,12 +111,7 @@ def map_b(S: SplitSystem, k: int, m1: MarkedIndex, m2: MarkedIndex) -> frozenset
     r1, r2 = m1.index, m2.index
     table = S.sys.table
     found = set()
-    if k in S.in_i:
-        for m in S.iset:
-            term = table.get((m, r1, r2))
-            if term is not None and term[1] == k:
-                found.add(m)
-    for s in S.jset:
+    for s in range(1, S.sys.dim + 1):
         for key in ((s, r1, r2), (r1, s, r2), (r1, r2, s)):
             term = table.get(key)
             if term is not None and term[1] == k:
@@ -178,12 +151,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
 
 
-def _raise_fault(S: SplitSystem, x: int, pair: tuple[int, int]) -> None:
-    """Replay mu at x's least faulty pair, which raises map_a's own InconsistentSplit."""
-    mu(S, x, *map(plain, pair))
-    raise InternalError(f"mu accepts the pair {pair} marked faulty at {x}")
-
-
 def _memo(S: SplitSystem, key: str, build):
     """build(S), computed once per split and kept in its __dict__ beside in_i and in_j.
 
@@ -198,57 +165,29 @@ def _memo(S: SplitSystem, key: str, build):
 MuStep = tuple[int, bool, int, int, int]  # (x, barred, p, q, y): y in mu(x, p, q), p <= q
 
 
-class _EntryPass(NamedTuple):
-    """The mu-steps and faults of both pair domains, read off the table in one pass.
+def _scan_entries(S: SplitSystem) -> dict[str, set[MuStep]]:
+    """Each mode's nonzero mu-steps, once each with the pair ascending (mu is symmetric in it).
 
-    steps[mode] holds every nonzero mu-step of the pair domain once, with
-    its pair in ascending order (mu is symmetric in its pair); faults[mode]
-    maps each faulty source to its least faulty pair, the pair at which the
-    pointwise scan of that source raises.
+    Each entry (i,j,k) -> m, slot by slot as (s, a, b), gives the plain step
+    s -(a,b)-> m in literal mode, and in restricted mode too when a, b lie in
+    jset; then also the barred step m -(a',b')-> s (map_b) in both domains.
     """
-
-    steps: dict[str, set[MuStep]]
-    faults: dict[str, dict[int, tuple[int, int]]]
-
-
-def _scan_entries(S: SplitSystem) -> _EntryPass:
-    """One pass over the table: each entry (i,j,k) -> m, slot by slot, as (s, a, b).
-
-    An entry map_a accepts gives the plain step s -(a,b)-> m in literal
-    mode, and in restricted mode too when a, b lie in jset.  An entry map_a
-    rejects gives a literal fault of s at (a, b) instead, and a restricted
-    one when a, b lie in jset.  A barred step m -(a',b')-> s (map_b) has its
-    pair in jset, so it lies in both domains.
-    """
-    in_i, in_j = S.in_i, S.in_j
+    in_j = S.in_j
     literal: set[MuStep] = set()
     restricted: set[MuStep] = set()
-    literal_faults: dict[int, tuple[int, int]] = {}
-    restricted_faults: dict[int, tuple[int, int]] = {}
     for (i, j, k), (_, m) in S.sys.table.items():
-        bad = j in in_i or k in in_i or (i in in_i and m not in in_i)
-        for slot, s, a, b in ((0, i, j, k), (1, j, i, k), (2, k, i, j)):
+        for s, a, b in ((i, j, k), (j, i, k), (k, i, j)):
             if b < a:
                 a, b = b, a
-            jpair = a in in_j and b in in_j
-            if jpair and (s in in_j or (slot == 0 and s in in_i and m in in_i)):
+            literal.add((s, False, a, b, m))
+            if a in in_j and b in in_j:
+                restricted.add((s, False, a, b, m))
                 literal.add((m, True, a, b, s))
                 restricted.add((m, True, a, b, s))
-            if bad:
-                literal_faults[s] = min(literal_faults.get(s, (a, b)), (a, b))
-                if jpair:
-                    restricted_faults[s] = min(restricted_faults.get(s, (a, b)), (a, b))
-                continue
-            literal.add((s, False, a, b, m))
-            if jpair:
-                restricted.add((s, False, a, b, m))
-    return _EntryPass(
-        {"literal": literal, "restricted": restricted},
-        {"literal": literal_faults, "restricted": restricted_faults},
-    )
+    return {"literal": literal, "restricted": restricted}
 
 
-def _entry_pass(S: SplitSystem) -> _EntryPass:
+def _entry_pass(S: SplitSystem) -> dict[str, set[MuStep]]:
     return _memo(S, "_entry_pass", _scan_entries)
 
 
@@ -260,7 +199,7 @@ def _ordered_steps(S: SplitSystem, mode: str) -> dict[int, list[tuple[bool, int,
     least label (barred, p, q) of a step x -> y has p <= q.
     """
     out: dict[int, list[tuple[bool, int, int, int]]] = {}
-    for x, b, p, q, y in sorted(_entry_pass(S).steps[mode]):
+    for x, b, p, q, y in sorted(_entry_pass(S)[mode]):
         out.setdefault(x, []).append((b, p, q, y))
     return out
 
@@ -270,20 +209,16 @@ def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, Connec
 
     The source is always reachable through the trivial witness.  Witness
     choice is deterministic: queue order, pairs in domain order, elements
-    of each mu-set sorted.  Reaching a faulty source raises its fault, and
-    k outside 1..dim raises IndexError.
+    of each mu-set sorted.  k outside 1..dim raises IndexError.
     """
     _check_mode(mode)
     if not 1 <= k <= S.sys.dim:
         raise IndexError(f"index {k} out of range 1..{S.sys.dim}")
     steps = _memo(S, f"_ordered_steps_{mode}", lambda S: _ordered_steps(S, mode))
-    faults = _entry_pass(S).faults[mode]
     found = {k: ConnectionWitness((plain(k),), k)}
     queue = deque([k])
     while queue:
         x = queue.popleft()
-        if x in faults:
-            _raise_fault(S, x, faults[x])
         wx = found[x]
         for b, p, q, y in steps.get(x, ()):
             if y not in found:
@@ -312,9 +247,12 @@ def validate_witness(S: SplitSystem, w: ConnectionWitness) -> bool:
 def reverse_connection(S: SplitSystem, w: ConnectionWitness) -> ConnectionWitness:
     """Witness from target back to source: bar the pair chain and reverse it.
 
-    Requires every pair element in jset or its bar; reversal outside that
-    domain is not guaranteed and is refused.
+    A witness that does not replay raises ValueError.  Requires every pair
+    element in jset or its bar; reversal outside that domain is not
+    guaranteed and is refused.
     """
+    if not validate_witness(S, w):
+        raise ValueError(f"witness {w} does not replay")
     if not w.pairs:
         return w
     for p, q in w.pairs:
@@ -356,9 +294,8 @@ def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     """Connection classes of the index set, computed once per split and mode.
 
     The step closure joins each index with the targets of its mu-steps,
-    read off the split's entry pass; a fault raises instead.  A barred step
-    joins nothing new: either its entry is faulty and the partition raises,
-    or the entry's plain step joins the same two indices.  Literal mode
+    read off the split's entry pass.  A barred step joins nothing new: the
+    entry's plain step joins the same two indices.  Literal mode
     equals the connected components of the hypergraph with one hyperedge
     {i, j, k, target} per table entry; those are computed from the entries
     alone and cross-checked against the step closure.  Restricted mode is
@@ -369,13 +306,8 @@ def partition(S: SplitSystem, mode: str = "literal") -> Partition:
 
 def _partition(S: SplitSystem, mode: str) -> Partition:
     _check_mode(mode)
-    found = _entry_pass(S)
-    faults = found.faults[mode]
-    if faults:
-        first = min(faults)
-        _raise_fault(S, first, faults[first])
     n = S.sys.dim
-    closure = _components(n, ((x, y) for x, _, _, _, y in found.steps[mode]))
+    closure = _components(n, ((x, y) for x, _, _, _, y in _entry_pass(S)[mode]))
     if mode == "restricted":
         return Partition(closure, mode)
     hyper = _components(n, ((i, e) for (i, j, k), (_, m) in S.sys.table.items() for e in (j, k, m)))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, ConfinementError, TheoremViolation
 from .jideal import SplitSystem, _successor_closure, _successors
-from .connect import MarkedIndex, Partition, _entry_pass, _raise_fault, partition
+from .connect import MarkedIndex, Partition, _entry_pass, partition
 from .system import Entry, TripleSystem
 
 DEFAULT_ORACLE_CAP = 12
@@ -187,8 +187,7 @@ def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]
     ascending, then plain before barred pairs, pairs lexicographic, t2
     ascending.  That is the order of the tuples (t1, barred, s1, s2, t2), so
     the first failure is the least violating step, with s1 <= s2 since both
-    orders fail together.  A faulty source ends the scan at its least faulty
-    pair, so a fault that sorts first raises instead.
+    orders fail together.
 
     Costs the split's memoized entry pass, one set of the steps the table's
     products realize (two per entry) and one set difference against the
@@ -196,19 +195,13 @@ def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]
     product, so it never fails.  Unlike a scan that stops at the first
     failure, it visits every entry.
     """
-    found = _entry_pass(S)
     # the steps (t1, barred, s1, s2, t2), s1 <= s2, that a product {v_t1, u_s1, u_s2} = c v_t2 realizes
     realized = {
         (i, b, j, k, m) if j <= k else (i, b, k, j, m)
         for (i, j, k), (_, m) in S.sys.table.items()
         for b in (False, True)
     }
-    first = min(found.steps["restricted"] - realized, default=None)
-    faults = found.faults["restricted"]
-    if faults:
-        x = min(faults)
-        if first is None or not first < (x, False, *faults[x]):
-            _raise_fault(S, x, faults[x])
+    first = min(_entry_pass(S)["restricted"] - realized, default=None)
     if first is None:
         return True, None
     t1, b, s1, s2, t2 = first

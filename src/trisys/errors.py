@@ -57,7 +57,7 @@ class NotAdmissible(TriSysError):
 
 
 class InconsistentSplit(TriSysError):
-    """A nonzero product sits in a slot pattern the split rules out."""
+    """A split's iset and jset are not an ascending partition of 1..dim."""
 
 
 class NotReversible(TriSysError):

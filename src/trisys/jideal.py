@@ -16,11 +16,13 @@ per round.  Any other subspace keeps the exact row-space closure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
-from .errors import DimensionError, NotAdapted, NotAdmissible
+from .errors import DimensionError, InconsistentSplit, NotAdapted, NotAdmissible
 from .exactnum import (RowSpace, Sparse, Vector, coordinate_space, rowspace_from, sparse_add, sparse_to_vector,
                        span_insert)
 from .system import Key, TripleSystem
@@ -39,16 +41,28 @@ class IdealWitness:
 
 @dataclass(frozen=True)
 class SplitSystem:
-    """A triple system with a validated index split.
+    """A triple system with an adapted index split, checked on construction.
 
-    iset spans the (computed or declared) ideal, jset the complement; the
-    span of iset is an ideal whose slot-2 and slot-3 products all vanish.
+    iset spans the (computed or declared) ideal, jset a complement; both are
+    ascending and partition 1..dim, else InconsistentSplit.  The span of
+    iset is an ideal whose slot-2 and slot-3 products all vanish, else
+    NotAdmissible: no entry with a factor in iset targets outside it, and
+    none has slot 2 or 3 in iset.
     """
 
     sys: TripleSystem
     iset: tuple[int, ...]
     jset: tuple[int, ...]
     mode: str
+
+    def __post_init__(self) -> None:
+        n, iset, jset, in_i = self.sys.dim, self.iset, self.jset, self.in_i
+        if len(iset) + len(jset) != n or not (_ascending(iset, n) and _ascending(jset, n) and in_i.isdisjoint(jset)):
+            raise InconsistentSplit(f"iset and jset are not an ascending partition of 1..{n}")
+        if any(m not in in_i and (i in in_i or j in in_i or k in in_i) for (i, j, k), (_, m) in self.sys.table.items()):
+            raise NotAdmissible("declared subspace is not an ideal")
+        if not _annihilates(self.sys, in_i):
+            raise NotAdmissible("ideal has a nonzero product in the second or third slot")
 
     @cached_property
     def in_i(self) -> frozenset[int]:
@@ -57,6 +71,11 @@ class SplitSystem:
     @cached_property
     def in_j(self) -> frozenset[int]:
         return frozenset(self.jset)
+
+
+def _ascending(t: tuple[int, ...], n: int) -> bool:
+    """True iff t is strictly ascending within 1..n; builds no copy of t."""
+    return all(map(operator.lt, chain((0,), t), chain(t, (n + 1,))))
 
 
 def _generator_items(T: TripleSystem) -> list[tuple[Key, Sparse]]:
@@ -216,8 +235,8 @@ def split_basis(T: TripleSystem, J: RowSpace, mode: str = "leibniz") -> SplitSys
 
     In leibniz mode J must be the computed deviation ideal; in generic mode
     any caller-declared ideal is accepted as long as it is an ideal and its
-    slot-2/slot-3 products vanish.  Either way the annihilation law is
-    verified, since the downstream connection machinery relies on it.
+    slot-2/slot-3 products vanish.  Either way the split checks both laws
+    on construction, since the downstream connection machinery relies on them.
     """
     if J.dim != T.dim:
         raise DimensionError(f"subspace dimension {J.dim} does not match system dimension {T.dim}")
@@ -229,16 +248,12 @@ def split_basis(T: TripleSystem, J: RowSpace, mode: str = "leibniz") -> SplitSys
 
 
 def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
-    """Split along J, whose basis indices are derived once and checked on the entry digraph."""
+    """Split along J, whose basis indices are derived once; the split checks the ideal laws itself."""
     iset = J.basis_indices()
     if iset is None:
         bad = next(row for row in J.rows if sum(1 for c in row if c) != 1)
         raise NotAdapted(bad)
     inside = set(iset)
-    if mode == "generic" and len(_successor_closure(T, iset)[0]) != len(inside):  # is_ideal(T, J)
-        raise NotAdmissible("declared subspace is not an ideal")
-    if not _annihilates(T, inside):  # check_annihilation(T, J)
-        raise NotAdmissible("ideal has a nonzero product in the second or third slot")
     jset = tuple([i for i in range(1, T.dim + 1) if i not in inside])
     return SplitSystem(T, tuple(sorted(iset)), jset, mode)
 

@@ -583,7 +583,9 @@ def reference_steps(S, mode):
     """One pair domain's mu-steps and faults from its own table scan, as (steps, faults).
 
     This is the per-mode step scan the connection layer ran, once per pair
-    domain and caller, before both domains came from one memoized scan.
+    domain and caller, before both domains came from one memoized scan.  A
+    fault is an entry with an iset index in slot 2 or 3, or with slot one in
+    iset and its target outside; a split that constructs has none.
     """
     if mode not in ("literal", "restricted"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -630,13 +632,12 @@ def dense_mu_multiplicativity_check(S):
     return True, None
 
 
-def random_arbitrary_splits(seed, count, max_dim=5, max_entries=6):
-    """SplitSystems whose iset and jset are drawn at random over random tables.
+def random_arbitrary_draws(seed, count, max_dim=5, max_entries=6):
+    """(T, iset, jset) triples drawn at random: a random table, iset and jset.
 
-    Most of them do not fit their table, so the connection layer must detect
-    the inconsistent entries; jset is the complement of iset half the time
-    and an independent random subset (overlapping iset or missing indices)
-    otherwise.
+    Most of them do not fit their table; jset is the complement of iset half
+    the time and an independent random subset (overlapping iset or missing
+    indices) otherwise.
     """
     rng = random.Random(seed)
     out = []
@@ -649,5 +650,16 @@ def random_arbitrary_splits(seed, count, max_dim=5, max_entries=6):
             jset = tuple(i for i in ids if i not in iset)
         else:
             jset = tuple(i for i in ids if rng.random() < 0.6)
-        out.append(ts.SplitSystem(T, iset, jset, "generic"))
+        out.append((T, iset, jset))
+    return out
+
+
+def random_arbitrary_splits(seed, count, max_dim=5, max_entries=6):
+    """The SplitSystems of count random_arbitrary_draws that construct: the draws that fit their table."""
+    out = []
+    for T, iset, jset in random_arbitrary_draws(seed, count, max_dim, max_entries):
+        try:
+            out.append(ts.SplitSystem(T, iset, jset, "generic"))
+        except (ts.InconsistentSplit, ts.NotAdmissible):
+            continue
     return out

@@ -73,11 +73,18 @@ def test_map_a_jacobson(ja_split):
     assert ts.map_a(ja_split, 1, 2, 1) == {2}
 
 
-def test_map_a_inconsistent_split_detected():
-    # a split that lies about the ideal: index 1 of the NF3 lift is not in it
-    bad = ts.SplitSystem(make_nf3_lift(), (1,), (2, 3), "generic")
-    with pytest.raises(ts.InconsistentSplit):
-        ts.map_a(bad, 1, 1, 1)
+def test_split_that_lies_about_the_ideal_is_refused_on_construction():
+    # index 1 of the NF3 lift is not in its ideal: {v1,u1,u1} = v3 leaves the declared span
+    with pytest.raises(ts.NotAdmissible, match="^declared subspace is not an ideal$"):
+        ts.SplitSystem(make_nf3_lift(), (1,), (2, 3), "generic")
+    # {v1,u3,u3} = v3 stays in span{v3} but has 3 in slot 2; nothing reaches 3 from 1,
+    # and the split is refused all the same, before any connection is computed
+    T = ts.construct_system(4, [(1, 2, 2, 1, 2), (1, 3, 3, 1, 3)])
+    with pytest.raises(ts.NotAdmissible, match="^ideal has a nonzero product in the second or third slot$"):
+        ts.SplitSystem(T, (3,), (1, 2, 4), "generic")
+    for iset, jset in (((3,), (1, 2)), ((3,), (1, 2, 3, 4)), ((3,), (2, 1, 4)), ((), (1, 2, 3, 3))):
+        with pytest.raises(ts.InconsistentSplit):
+            ts.SplitSystem(T, iset, jset, "generic")
 
 
 def test_map_b_nf3(nf3_split):
@@ -200,11 +207,27 @@ def test_reverse_nf3_example(nf3_split):
     assert back.target == 1
 
 
-def test_reverse_rejects_iset_pair_elements(nf3_split):
-    # 3 sits in the iset, so a pair through it is outside the reversible domain
-    w = ts.ConnectionWitness((plain(1), plain(3), plain(1)), 1)
+def test_reverse_rejects_iset_pair_elements():
+    # {v3,u1,u2} = v3 with 3 in the iset: the witness replays, but its pair runs
+    # through 3, outside the reversible domain
+    S = split(ts.construct_system(3, [(3, 1, 2, 1, 3)]))
+    w = ts.ConnectionWitness((plain(1), plain(2), plain(3)), 3)
+    assert S.iset == (3,) and ts.validate_witness(S, w)
     with pytest.raises(ts.NotReversible):
-        ts.reverse_connection(nf3_split, w)
+        ts.reverse_connection(S, w)
+
+
+def test_reverse_refuses_a_witness_that_does_not_replay():
+    S = split(make_nf3_lift())
+    for w in (
+        ts.ConnectionWitness((plain(7),), 7),  # outside 1..dim
+        ts.ConnectionWitness((plain(7), plain(1), plain(1)), 3),  # no stage replays from 7
+        ts.ConnectionWitness((plain(1), plain(1)), 3),  # an even-length chain has no pairs
+        ts.ConnectionWitness((plain(1), plain(3), plain(1)), 1),  # mu(1, 3, 1) is empty
+    ):
+        assert not ts.validate_witness(S, w)
+        with pytest.raises(ValueError, match="does not replay"):
+            ts.reverse_connection(S, w)
 
 
 def test_reverse_restricted_witnesses_everywhere():
@@ -272,7 +295,7 @@ MODES = ("literal", "restricted")
 
 
 def differential_corpus():
-    """Consistent splits (lemma suite, raw random, verified) and arbitrary ones."""
+    """Splits of the lemma suite, raw random and verified tables, and arbitrary draws that construct."""
     systems = lemma_corpus()
     systems += random_split_systems(211, 120, max_dim=6, max_entries=6)
     systems += [split(T) for T in random_verified_corpus(212, 60, max_dim=7)]
@@ -280,52 +303,31 @@ def differential_corpus():
     return systems
 
 
-def outcome(fn, *args):
-    """The result, or the InconsistentSplit message; any other error propagates."""
-    try:
-        return "ok", fn(*args)
-    except ts.InconsistentSplit as exc:
-        return "inconsistent", str(exc)
-
-
 def test_partition_matches_dense_step_closure():
-    raised = agreed = 0
+    agreed = 0
     for S in differential_corpus():
         for mode in MODES:
-            want = outcome(dense_step_closure_classes, S, mode)
-            got = outcome(lambda: ts.partition(S, mode).classes)
-            assert got == want, (S, mode)
-            raised += want[0] == "inconsistent"
+            assert ts.partition(S, mode).classes == dense_step_closure_classes(S, mode), (S, mode)
             agreed += 1
-    assert raised > 100 and agreed - raised > 400
+    assert agreed > 400
 
 
 def test_reachable_matches_dense_every_source():
-    raised = 0
     for S in differential_corpus():
         for mode in MODES:
             for k in range(1, S.sys.dim + 1):
-                want = outcome(dense_reachable, S, k, mode)
-                got = outcome(ts.reachable, S, k, mode)
-                if want[0] == "ok":
-                    assert got[0] == "ok", (S, k, mode)
-                    # same witnesses, discovered in the same order
-                    assert list(got[1].items()) == list(want[1].items()), (S, k, mode)
-                else:
-                    assert got == want, (S, k, mode)
-                    raised += 1
-    assert raised > 100
+                # same witnesses, discovered in the same order
+                want = list(dense_reachable(S, k, mode).items())
+                assert list(ts.reachable(S, k, mode).items()) == want, (S, k, mode)
 
 
 def test_mu_check_matches_dense_scan():
-    violations = raised = 0
+    violations = 0
     for S in differential_corpus():
-        want = outcome(dense_mu_multiplicativity_check, S)
-        got = outcome(ts.mu_multiplicativity_check, S)
-        assert got == want, S
-        raised += want[0] == "inconsistent"
-        violations += want[0] == "ok" and not want[1][0]
-    assert raised > 50 and violations > 50
+        want = dense_mu_multiplicativity_check(S)
+        assert ts.mu_multiplicativity_check(S) == want, S
+        violations += not want[0]
+    assert violations > 50
 
 
 def test_reachable_rejects_unknown_mode(nf3_split):
@@ -346,73 +348,31 @@ def test_reachable_and_validate_witness_refuse_indices_outside_the_basis(mode):
         assert not ts.validate_witness(S, ts.ConnectionWitness((plain(k), plain(1), plain(1)), 3))
 
 
-def test_inconsistent_entry_out_of_reach_is_not_probed():
-    # 3 is declared an ideal index, so the entry {v3,u3,u3} is inconsistent;
-    # nothing reaches 3 from 1, and only the closure over all sources sees it
-    T = ts.construct_system(4, [(1, 2, 2, 1, 2), (3, 3, 3, 1, 4)])
-    S = ts.SplitSystem(T, (3,), (1, 2, 4), "generic")
-    assert set(ts.reachable(S, 1, "literal")) == {1, 2}
-    with pytest.raises(ts.InconsistentSplit):
-        ts.reachable(S, 3, "literal")
-    with pytest.raises(ts.InconsistentSplit):
-        ts.partition(S, "literal")
-
-
 # --- one step scan per split --------------------------------------------------------
 
 
 def test_shared_scan_matches_per_mode_reference():
-    # the entry pass keeps each step once, as p <= q; a faulty source keeps all of its steps,
-    # which reachability never reads, since it raises on reaching the source
+    # the entry pass keeps each step once, as p <= q
     splits = random_split_systems(221, 150, max_dim=6, max_entries=6)
     splits += [split(T) for T in random_verified_corpus(222, 60, max_dim=8)]
     splits += random_arbitrary_splits(223, 600)
-    faulty = 0
     for S in splits:
         found = ts.connect._scan_entries(S)
         for mode in MODES:
             steps, faults = reference_steps(S, mode)
-            assert found.faults[mode] == faults, (S, mode)
+            assert not faults, (S, mode)
             got: dict[int, set] = {}
-            for x, b, p, q, y in found.steps[mode]:
+            for x, b, p, q, y in found[mode]:
                 assert p <= q, (S, mode)
                 got.setdefault(x, set()).add(((b, p, q), y))
             for x in range(1, S.sys.dim + 1):
                 want = {((b, p, q), y) for (b, p, q), y in steps.get(x, ()) if p <= q}
-                own = got.get(x, set())
-                if x in faults:
-                    # the reference keeps only the steps before the least faulty pair
-                    own = {st for st in own if st[0] < (False, *faults[x])}
-                assert own == want, (S, mode, x)
-            for x, pair in faults.items():
-                # reachability raises map_a's own message at the source's first faulty pair
-                want = outcome(ts.mu, S, x, *map(plain, pair))
-                assert want[0] == "inconsistent"
-                assert outcome(ts.reachable, S, x, mode) == want
-                faulty += 1
-    assert faulty > 300
-
-
-def error_outcome(fn, *args):
-    """The result, or the name and message of the InconsistentSplit or InternalError raised."""
-    try:
-        return "ok", fn(*args)
-    except (ts.InconsistentSplit, ts.InternalError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def reference_fault(S, faults):
-    """Replay mu at the least faulty source's pair, as the pointwise scan reaches it."""
-    x = min(faults)
-    ts.mu(S, x, *map(plain, faults[x]))
-    raise ts.InternalError(f"mu accepts the pair {faults[x]} marked faulty at {x}")
+                assert got.get(x, set()) == want, (S, mode, x)
 
 
 def reference_partition(S, mode):
     """Classes of the reference steps' closure, by breadth-first search over both directions."""
-    steps, faults = reference_steps(S, mode)
-    if faults:
-        reference_fault(S, faults)
+    steps, _ = reference_steps(S, mode)
     adjacency = {i: set() for i in range(1, S.sys.dim + 1)}
     for x, out in steps.items():
         for _, y in out:
@@ -432,38 +392,32 @@ def reference_partition(S, mode):
 
 def reference_mu_check(S):
     """The first unrealized restricted step of the reference scan, source by source."""
-    steps, faults = reference_steps(S, "restricted")
+    steps, _ = reference_steps(S, "restricted")
     for t1 in range(1, S.sys.dim + 1):
         for (b, p, q), t2 in steps.get(t1, ()):
             if not any(S.sys.table.get(key, (0, None))[1] == t2 for key in ((t1, p, q), (t1, q, p))):
                 return False, ts.MuViolation(t1, (ts.MarkedIndex(p, b), ts.MarkedIndex(q, b)), t2)
-        if t1 in faults:
-            reference_fault(S, {t1: faults[t1]})
     return True, None
 
 
 def test_entry_pass_matches_reference_steps_and_dense_check():
-    # partitions and first mu violations from the one entry pass, faulty splits included,
-    # against the ordered per-mode reference scan and the dense pointwise mu scan
+    # partitions and first mu violations from the one entry pass against the ordered
+    # per-mode reference scan and the dense pointwise mu scan
     splits = random_split_systems(231, 500, max_dim=6, max_entries=7)
     splits += [split(T) for T in random_verified_corpus(232, 300, max_dim=8)]
     splits += random_arbitrary_splits(233, 1200, max_dim=6, max_entries=7)
-    fault_free = violated = faulty = 0
+    violated = 0
     for S in splits:
         for mode in MODES:
-            want = error_outcome(reference_partition, S, mode)
-            assert error_outcome(lambda: ts.partition(S, mode).classes) == want, (S, mode)
-            if mode == "literal" and want[0] == "ok":
-                assert want[1] == oracle_hyperedge_components(S.sys), S
-        want = error_outcome(dense_mu_multiplicativity_check, S)
-        assert error_outcome(reference_mu_check, S) == want, S
-        assert error_outcome(ts.mu_multiplicativity_check, S) == want, S
-        if reference_steps(S, "literal")[1]:
-            faulty += 1
-        else:
-            fault_free += 1
-            violated += not want[1][0]
-    assert fault_free >= 1000 and violated >= 300 and faulty >= 300, (fault_free, violated, faulty)
+            want = reference_partition(S, mode)
+            assert ts.partition(S, mode).classes == want, (S, mode)
+            if mode == "literal":
+                assert want == oracle_hyperedge_components(S.sys), S
+        want = dense_mu_multiplicativity_check(S)
+        assert reference_mu_check(S) == want, S
+        assert ts.mu_multiplicativity_check(S) == want, S
+        violated += not want[0]
+    assert len(splits) >= 1000 and violated >= 300, (len(splits), violated)
 
 
 def test_memo_leaves_fields_equality_hash_and_repr_alone():
@@ -471,9 +425,9 @@ def test_memo_leaves_fields_equality_hash_and_repr_alone():
         fresh = ts.SplitSystem(S.sys, S.iset, S.jset, S.mode)
         before = ([f.name for f in dataclasses.fields(S)], hash(S), repr(S))
         for mode in MODES:
-            outcome(ts.partition, S, mode)
-            outcome(ts.reachable, S, 1, mode)
-        outcome(ts.mu_multiplicativity_check, S)
+            ts.partition(S, mode)
+            ts.reachable(S, 1, mode)
+        ts.mu_multiplicativity_check(S)
         assert {"_entry_pass", "_ordered_steps_literal", "_ordered_steps_restricted"} <= set(vars(S))
         assert ([f.name for f in dataclasses.fields(S)], hash(S), repr(S)) == before
         assert S == fresh and fresh == S and hash(fresh) == hash(S)

@@ -15,10 +15,12 @@ from conftest import (
     make_zero_system,
     oracle_jideal_vectors,
     oracle_ideal_closure,
+    random_arbitrary_draws,
     random_broken_tables,
     random_split_systems,
     random_table,
     random_verified_corpus,
+    reference_steps,
     same_subspace,
 )
 
@@ -278,6 +280,46 @@ def test_random_split_corpus_valid():
         )
         assert ts.is_ideal(S.sys, space)
         assert ts.check_annihilation(S.sys, space)
+
+
+def _expected_refusal(T, iset, jset):
+    """The error a split of T along iset and jset must raise, from entry-level predicates, or None."""
+    if not (iset == tuple(sorted(set(iset))) and jset == tuple(sorted(set(jset)))):
+        return ts.InconsistentSplit, None
+    if sorted(iset + jset) != list(range(1, T.dim + 1)):
+        return ts.InconsistentSplit, None
+    inside = set(iset)
+    if any(m not in inside and inside & {i, j, k} for (i, j, k), (_, m) in T.table.items()):
+        return ts.NotAdmissible, "declared subspace is not an ideal"
+    if any(j in inside or k in inside for _, j, k in T.table):
+        return ts.NotAdmissible, "ideal has a nonzero product in the second or third slot"
+    return None
+
+
+def test_split_checks_partition_ideal_and_annihilation_on_construction():
+    accepted = refused = 0
+    for T, iset, drawn in random_arbitrary_draws(251, 6000):
+        for jset in (drawn, drawn[::-1]) if len(drawn) > 1 else (drawn,):
+            want = _expected_refusal(T, iset, jset)
+            if want is None:
+                S = ts.SplitSystem(T, iset, jset, "generic")
+                # every entry fits the split: the reference step scan finds no fault
+                assert reference_steps(S, "literal")[1] == reference_steps(S, "restricted")[1] == {}, S
+                accepted += 1
+            else:
+                with pytest.raises(want[0]) as exc:
+                    ts.SplitSystem(T, iset, jset, "generic")
+                if want[1] is not None:
+                    assert str(exc.value) == want[1]
+                refused += 1
+            if want is None or want[0] is ts.NotAdmissible:
+                # split_basis builds the same split from the span of iset, or refuses it with the same message
+                try:
+                    got = ts.split_basis(T, span_of(T.dim, *iset), "generic")
+                except ts.NotAdmissible as err:
+                    got = str(err)
+                assert got == (S if want is None else want[1]), (T, iset, jset)
+    assert accepted >= 1000 and refused >= 1000, (accepted, refused)
 
 
 # --- the full-rank exit of the closure ---------------------------------------------

@@ -11,6 +11,10 @@ the connection or decomposition layers.
 - Literal classes confine every entry: its four indices lie in one class.
 - A mu violation names a restricted step (a jset pair) whose entry exists,
   and no product (t1, p, q) or (t1, q, p) targets t2.
+- A split's iset and jset partition 1..dim; no entry with a factor in iset
+  targets outside it, and no entry has slot 2 or 3 in iset.
+- A counterexample ideal is nonempty, neither iset nor the whole index set,
+  and closed: an entry with a factor in it targets it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from conftest import (
     make_jacobson_a,
     make_jacobson_b,
     make_nf3_lift,
-    random_arbitrary_splits,
+    random_arbitrary_draws,
     random_split_systems,
     random_verified_corpus,
 )
@@ -106,6 +110,22 @@ def check_mu_violation(table, iset, jset, section):
     return "barred"
 
 
+def check_split(dim, table, section):
+    iset, jset = set(section["iset"]), set(section["jset"])
+    assert sorted(section["iset"] + section["jset"]) == list(range(1, dim + 1)), section
+    for (i, j, k), m in table.items():
+        assert m in iset or not iset & {i, j, k}, (section, (i, j, k), m)
+        assert j not in iset and k not in iset, (section, (i, j, k), m)
+    return iset, jset
+
+
+def check_counterexample(dim, table, iset, ideal):
+    members = set(ideal)
+    assert members and members != iset and len(members) < dim, ideal
+    for key, m in table.items():
+        assert m in members or not members & set(key), (ideal, key, m)
+
+
 def run(argv):
     out = io.StringIO()
     code = run_command(argv, out=out, err=io.StringIO())
@@ -117,22 +137,31 @@ def replay_documents(path, text, flags, commands, seen):
     code, out = run(["split", "--json", *flags, path])
     if code != 0:
         return
-    split = json.loads(out)
-    iset, jset = set(split["iset"]), set(split["jset"])
     dim, table = read_table(text)
+    iset, jset = check_split(dim, table, json.loads(out))
+    seen["split"] += 1
     for mode, command in itertools.product(MODES, commands):
         doc = json.loads(run([command, "--json", "--mode", mode, *flags, path])[1])
         for name, section in doc.items() if command == "report" else [(command, doc)]:
-            if name == "decompose" and "classes" in section:
+            if name == "split" and "iset" in section:
+                assert check_split(dim, table, section) == (iset, jset)
+            elif name == "decompose" and "classes" in section:
                 check_classes(dim, table, section["classes"], mode == "literal")
                 seen[f"classes {mode}"] += 1
             elif name == "minimal" and "mu_violation" in section:
                 seen[f"violation {check_mu_violation(table, iset, jset, section)}"] += 1
+                if section["counterexample_ideal"] is not None:
+                    check_counterexample(dim, table, iset, section["counterexample_ideal"])
+                    seen["counterexample"] += 1
 
 
 def test_classes_and_mu_violations_replay(tmp_path):
     seen = dict.fromkeys(
-        ("classes literal", "classes restricted", "violation None", "violation plain", "violation barred"), 0
+        (
+            "split", "classes literal", "classes restricted", "violation None", "violation plain",
+            "violation barred", "counterexample",
+        ),
+        0,
     )
     inputs = [(text, ()) for text in _ACCEPTANCE_TEXTS]
     systems = [make_jacobson_a(), make_jacobson_b(), make_nf3_lift()]
@@ -141,10 +170,11 @@ def test_classes_and_mu_violations_replay(tmp_path):
     systems += [S.sys for S in random_split_systems(241, 120, max_dim=6, max_entries=6)]
     systems += random_verified_corpus(242, 60, max_dim=8)
     inputs += [(ts.serialize_system(T), ()) for T in systems]
+    # ISETs drawn raw: most are refused, which keeps the CLI's NotAdmissible documents covered
     inputs += [
-        (ts.serialize_system(S.sys), ("--generic", ",".join(map(str, S.iset))))
-        for S in random_arbitrary_splits(243, 300)
-        if S.iset
+        (ts.serialize_system(T), ("--generic", ",".join(map(str, iset))))
+        for T, iset, _ in random_arbitrary_draws(243, 300)
+        if iset
     ]
     for n, (text, flags) in enumerate(inputs):
         path = tmp_path / f"c{n}.lts"
