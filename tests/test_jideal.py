@@ -284,9 +284,8 @@ def test_random_split_corpus_valid():
 
 def _expected_refusal(T, iset, jset):
     """The error a split of T along iset and jset must raise, from entry-level predicates, or None."""
-    if not (iset == tuple(sorted(set(iset))) and jset == tuple(sorted(set(jset)))):
-        return ts.InconsistentSplit, None
-    if sorted(iset + jset) != list(range(1, T.dim + 1)):
+    ascending = iset == tuple(sorted(set(iset))) and jset == tuple(sorted(set(jset)))
+    if not ascending or sorted(iset + jset) != list(range(1, T.dim + 1)):
         return ts.InconsistentSplit, None
     inside = set(iset)
     if any(m not in inside and inside & {i, j, k} for (i, j, k), (_, m) in T.table.items()):
