@@ -237,7 +237,7 @@ def _decompose_section(S, args) -> tuple[int, dict]:
             }
             for comp in report.components
         ],
-        "orthogonality": [list(row) for row in report.orthogonality],
+        "orthogonality": report.orthogonality,
         "ideals": list(report.ideal_flags),
         "covers": report.covers,
         "confinement_violations": [_entry_doc(e) for e in report.confinement_violations],

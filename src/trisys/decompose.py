@@ -1,11 +1,13 @@
 """Component ideals, the decomposition report, and minimality decisions.
 
 Each connection class spans a component; in literal mode the components
-are pairwise orthogonal ideals whose direct sum is the whole system, and
-that is re-verified on every call.  Minimality (the only nonzero ideals
-with an inherited basis are the deviation ideal and the whole system) is
-decided by the connectivity criterion when the basis passes the
-mu-multiplicativity test, and otherwise by the inherited ideals themselves.
+are pairwise orthogonal ideals whose direct sum is the whole system.  The
+ideal and orthogonality verdicts are read off the entries that straddle
+classes, since an entry inside one class can clear neither.  Minimality
+(the only nonzero ideals with an inherited basis are the deviation ideal
+and the whole system) is decided by the connectivity criterion when the
+basis passes the mu-multiplicativity test, and otherwise by the
+inherited ideals themselves.
 
 A basis subset spans an ideal iff it is closed under the entry digraph
 (factor -> target), so the inherited ideals are unions of principal
@@ -23,12 +25,10 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, ConfinementError, TheoremViolation
 from .jideal import SplitSystem, _successor_closure, _successors
-from .connect import MarkedIndex, Partition, _entry_pass, partition
+from .connect import MarkedIndex, _entry_pass, partition
 from .system import Entry, TripleSystem
 
 DEFAULT_ORACLE_CAP = 12
-
-VERDICTS = ("minimal", "not_minimal", "criterion_inapplicable")
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,8 @@ class DecompositionReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.covers
-            and all(self.ideal_flags)
-            and all(all(row) for row in self.orthogonality)
-            and not self.confinement_violations
-        )
+        """Coverage and no straddling entry: only a straddler can clear an ideal flag or an orthogonality cell."""
+        return self.covers and not self.confinement_violations
 
 
 class MuViolation(NamedTuple):
@@ -86,22 +82,6 @@ class MinimalityVerdict:
     counterexample_ideal: tuple[int, ...] | None = None
 
 
-def _split_entries(
-    S: SplitSystem, part: Partition
-) -> tuple[list[tuple[tuple[int, ...], list[Entry]]], list[Entry]]:
-    """Assign each table entry to the class holding all four of its indices."""
-    buckets = {cls[0]: [] for cls in part.classes}
-    membership = part.class_of
-    violations = []
-    for i, j, k, c, m in S.sys.entries:
-        cls_ids = {membership[i], membership[j], membership[k], membership[m]}
-        if len(cls_ids) == 1:
-            buckets[cls_ids.pop()].append((i, j, k, c, m))
-        else:
-            violations.append((i, j, k, c, m))
-    return [(cls, buckets[cls[0]]) for cls in part.classes], violations
-
-
 def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry]) -> Component:
     # the parent's entries are validated and sorted by key, and the local
     # numbering is monotone, so they need no construct_system pass
@@ -116,6 +96,26 @@ def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry])
     )
 
 
+def _components(S: SplitSystem, mode: str) -> tuple[list[Component], list[Entry], list[list[int]]]:
+    """partition(S, mode)'s components, the entries straddling its classes, and their classes' positions.
+
+    A straddler's place lists the component positions of its indices i, j, k and target m.
+    """
+    part = partition(S, mode)
+    position = {cls[0]: c for c, cls in enumerate(part.classes)}
+    membership = part.class_of
+    buckets = [[] for _ in part.classes]
+    straddlers, places = [], []
+    for i, j, k, c, m in S.sys.entries:
+        where = [position[membership[x]] for x in (i, j, k, m)]
+        if where.count(where[0]) == 4:
+            buckets[where[0]].append((i, j, k, c, m))
+        else:
+            straddlers.append((i, j, k, c, m))
+            places.append(where)
+    return [_build_component(S, cls, entries) for cls, entries in zip(part.classes, buckets)], straddlers, places
+
+
 def components(S: SplitSystem, mode: str = "literal") -> list[Component]:
     """One component per connection class, classes ordered by id.
 
@@ -124,11 +124,9 @@ def components(S: SplitSystem, mode: str = "literal") -> list[Component]:
     raises ConfinementError carrying the violating entries and the
     components built from the remaining ones.
     """
-    part = partition(S, mode)
-    assigned, violations = _split_entries(S, part)
-    built = [_build_component(S, cls, entries) for cls, entries in assigned]
-    if violations:
-        raise ConfinementError(violations, built)
+    built, straddlers, _ = _components(S, mode)
+    if straddlers:
+        raise ConfinementError(straddlers, built)
     return built
 
 
@@ -145,34 +143,26 @@ def check_orthogonal(S: SplitSystem, c1: Component, c2: Component) -> bool:
 def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionReport:
     """Components plus the ideal, orthogonality, and coverage verdicts.
 
-    Literal mode must come out all-true; a failure there indicates a bug
-    and raises TheoremViolation.  Restricted mode reports whatever holds.
+    Only a straddling entry can clear an ideal flag (a factor in the class,
+    the target outside it) or an orthogonality cell (factors from both
+    classes); each row that no straddler touches is one shared all-true
+    tuple.  Literal mode must come out all-true; a failure there indicates
+    a bug and raises TheoremViolation.  Restricted mode reports whatever holds.
     """
-    violations: tuple[Entry, ...] = ()
-    try:
-        comps = components(S, mode)
-    except ConfinementError as err:
-        if mode == "literal":
-            raise TheoremViolation(f"literal components are not entry-closed: {err}") from err
-        comps = list(err.components)
-        violations = err.violations
-    n = S.sys.dim
-    # one entry scan decides both: the span of a class is an ideal iff every
-    # entry with a factor in it targets it, and two classes are orthogonal
-    # iff no entry draws factors from both (the classes cover 1..n)
-    position = {i: c for c, comp in enumerate(comps) for i in comp.indices}
+    comps, straddlers, places = _components(S, mode)
+    if straddlers and mode == "literal":
+        raise TheoremViolation(f"literal components are not entry-closed: {ConfinementError(straddlers)}")
     ideal_flags = [True] * len(comps)
-    ortho = [[True] * len(comps) for _ in comps]
-    for i, j, k, _, m in S.sys.entries:
-        factors = {position[i], position[j], position[k]}
+    crossed: dict[int, set[int]] = {}  # component position -> positions sharing a straddler's factors
+    for *factors, m in places:
         for a in factors:
-            ideal_flags[a] = ideal_flags[a] and a == position[m]
-            for b in factors - {a}:
-                ortho[a][b] = False
-    covered = sorted(i for comp in comps for i in comp.indices) == list(range(1, n + 1))
-    report = DecompositionReport(
-        tuple(comps), tuple([tuple(row) for row in ortho]), tuple(ideal_flags), covered, mode, violations
-    )
+            ideal_flags[a] = ideal_flags[a] and a == m
+            crossed.setdefault(a, set()).update(factors)
+    clear = (True,) * len(comps)
+    ortho = [tuple([b == a or b not in crossed[a] for b in range(len(comps))]) if a in crossed else clear
+             for a in range(len(comps))]
+    covered = sorted(i for comp in comps for i in comp.indices) == list(range(1, S.sys.dim + 1))
+    report = DecompositionReport(tuple(comps), tuple(ortho), tuple(ideal_flags), covered, mode, tuple(straddlers))
     if mode == "literal" and not report.ok:
         raise TheoremViolation("literal decomposition failed its own guarantees")
     return report

@@ -21,7 +21,7 @@ from .errors import DimensionError
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -37,7 +37,7 @@ def rat_canon(num: int, den: int = 1) -> Fraction:
 
 def rat_parse(text: str) -> Fraction:
     """Parse "p" or "p/q" with an optional leading minus on p only."""
-    m = _RAT_RE.match(text)
+    m = _RAT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid rational: {text!r}")
     num = int(m.group(1))

@@ -46,7 +46,7 @@ def _column_of(line: str, token_pos: int) -> int:
 
 
 def _parse_int(token: str, lineno: int, line: str, pos: int) -> int:
-    if not (token.isdigit() or (token.startswith("-") and token[1:].isdigit())):
+    if not (token.isdecimal() or (token.startswith("-") and token[1:].isdecimal())):
         raise ParseError(f"expected an integer, got {token!r}", lineno, _column_of(line, pos))
     return int(token)
 

@@ -42,10 +42,15 @@ def _normalize_labels(dim: int, labels) -> tuple[str | None, ...]:
         for k in labels:
             if not 1 <= k <= dim:
                 raise IndexError(f"label index {k} out of range 1..{dim}")
-        return tuple([labels.get(i) for i in range(1, dim + 1)])
-    out = tuple(labels)
-    if len(out) != dim:
-        raise DimensionError(f"expected {dim} labels, got {len(out)}")
+        out = tuple([labels.get(i) for i in range(1, dim + 1)])
+    else:
+        out = tuple(labels)
+        if len(out) != dim:
+            raise DimensionError(f"expected {dim} labels, got {len(out)}")
+    for label in out:
+        # a label is one file token: nonempty, no whitespace, no comment mark
+        if label is not None and not (isinstance(label, str) and label.split() == [label] and "#" not in label):
+            raise ValueError(f"label {label!r} is not a nonempty string free of whitespace and '#'")
     return out
 
 

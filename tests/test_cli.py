@@ -104,6 +104,10 @@ def test_parse_rational_coefficients():
         ("dim 2\nbrk 1 1 = 1 * 2\n", "expected 'prod'"),
         ("dim 2\nwhat 1 2\n", "expected 'prod'"),
         ("dim 2\nlabel 1 x\nlabel 1 y\n", "duplicate label"),
+        # superscript digits pass str.isdigit but int() refuses them
+        ("dim 3\nprod 1 1 \u00b2 = 1 * 3\n", "line 2, column 10: expected an integer, got '\u00b2'"),
+        ("dim \u00b2\n", "line 1, column 5: expected an integer, got '\u00b2'"),
+        ("dim 3\nlabel \u00b9 x\n", "line 2, column 7: expected an integer, got '\u00b9'"),
     ],
 )
 def test_parse_errors_carry_line_info(text, fragment):
@@ -578,6 +582,31 @@ def test_wide_sparse_file_finishes_quickly(tmp_path, command, text):
     assert code == 0, err
     assert "dim: 500" in out
     assert elapsed < 20, f"{command} on a dim-500 file took {elapsed:.1f} s"
+
+
+def test_wide_sparse_decompose_runs_in_bounded_memory(tmp_path):
+    # about dim classes, of which only the straddled ones get their own orthogonality row
+    text = "dim 20000\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\nprod 300 300 300 = 1 * 499\n"
+    path = write(tmp_path, "wide.tri", text)
+    src = os.path.dirname(os.path.dirname(ts.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
+        "from trisys.cli import main\n"
+        "main()\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, "decompose", path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "\ncovers: yes\n" in proc.stdout and "\northogonal: yes\n" in proc.stdout
+    assert elapsed < 20, f"decompose on a dim-20000 file took {elapsed:.1f} s"
 
 
 def test_minimal_counterexample_on_a_wide_file_needs_no_subset_enumeration(tmp_path):

@@ -185,6 +185,12 @@ def test_ideal_and_orthogonality_flags_match_pointwise_checks():
                 tuple(a is b or ts.check_orthogonal(S, a, b) for b in comps) for a in comps
             )
             assert report.orthogonality == ortho, (S, mode)
+            assert report.ok == (
+                report.covers
+                and all(want)
+                and all(all(row) for row in ortho)
+                and not report.confinement_violations
+            ), (S, mode)
             not_ideal += want.count(False)
             not_orthogonal += sum(row.count(False) for row in ortho)
     assert not_ideal > 20 and not_orthogonal > 20

@@ -49,7 +49,7 @@ def test_rat_parse(text, value):
     assert rat_parse(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "3/-6", "1 / 2", "+3", "a", "1/2/3", "- 3"])
+@pytest.mark.parametrize("text", ["", "3/-6", "1 / 2", "+3", "a", "1/2/3", "- 3", "1\n", "1/2\n"])
 def test_rat_parse_rejects(text):
     with pytest.raises(ValueError):
         rat_parse(text)
