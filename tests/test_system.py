@@ -98,22 +98,20 @@ def test_construct_rejects_zero_dim():
 
 
 @pytest.mark.parametrize(
-    "build, row",
-    [(ts.construct_system, (1, 2, 1, 1, 2)), (ts.construct_bilinear, (1, 2, 1, 2))],
+    "build, row, serialize, parse",
+    [
+        (ts.construct_system, (1, 2, 1, 1, 2), ts.serialize_system, ts.parse_system),
+        (ts.construct_bilinear, (1, 2, 1, 2), ts.serialize_leibniz, ts.parse_leibniz),
+    ],
     ids=["system", "bilinear"],
 )
-def test_construct_refuses_labels_a_file_cannot_hold(build, row):
+def test_construct_refuses_labels_a_file_cannot_hold(build, row, serialize, parse):
     # a label is written as one token of a 'label K NAME' line
     for labels in ({1: "a b"}, {1: ""}, {1: "x#y"}, {2: "tab\there"}, (7, None), ("x", b"y")):
         with pytest.raises(ValueError):
             build(2, [row], labels=labels)
     for labels in ({1: "x"}, {1: None}, (None, "y-2"), ("\u00e9", "[1]")):
         X = build(2, [row], labels=labels)
-        serialize, parse = (
-            (ts.serialize_system, ts.parse_system)
-            if build is ts.construct_system
-            else (ts.serialize_leibniz, ts.parse_leibniz)
-        )
         assert parse(serialize(X)) == X
 
 
