@@ -13,7 +13,6 @@ import contextlib
 import json
 import os
 import sys
-from collections.abc import Sequence
 from functools import cache
 from itertools import chain, compress, islice
 from operator import add, ne
@@ -44,7 +43,7 @@ from .fileformat import (
 )
 from .connect import partition
 from .jideal import check_annihilation, compute_jideal, split_basis, split_system
-from .system import DEFAULT_IDENTITY_CAP, check_identities, lift_from_leibniz
+from .system import DEFAULT_IDENTITY_CAP, IdentityReport, check_identities, lift_from_leibniz
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -111,94 +110,13 @@ def _split_for(T, args, witness=None):
 # --- report sections: built once per input and shared by the commands -------
 
 
-class _Violations(Sequence):
-    """An identity report's violations as {"identity", "tuple", "residual"} records.
-
-    Records are decoded from the report's cells only when read: a slice from
-    the start decodes just its records, any other index all the report's
-    residuals.  `json` writes the whole list straight from the cells.
-    """
-    __slots__ = ("report", "text", "scan")
-
-    def __init__(self, report):
-        self.report = report
-        self.text = cache(lambda n: rat_str(rat_canon(n, report.denominator)))  # one string per numerator
-        self.scan = None
-
-    def _starts(self) -> tuple[list[bool], list[int]]:
-        """Whether each cell starts a record (its key // R is not the last key's), and each record's key // R."""
-        if self.scan is None:
-            R, _, keys, _ = self.report._cells
-            cells = list(map(R.__rfloordiv__, keys))
-            starts = [True, *map(ne, cells[1:], cells)] if cells else []
-            self.scan = starts, list(compress(cells, starts))
-        return self.scan
-
-    def __len__(self) -> int:
-        return len(self._starts()[1])
-
-    def __getitem__(self, index):
-        many = isinstance(index, slice)
-        if many and index.start is None and index.step is None and (index.stop or 0) >= 0:
-            rows = islice(self.report._records(), index.stop)  # decode only the records asked for
-        else:
-            rows = self.report.residuals[index] if many else [self.report.residuals[index]]
-        records = [{"identity": i, "tuple": t, "residual": {str(m): self.text(n) for m, n in r}} for i, t, r in rows]
-        return records if many else records[0]
-
-    def json(self, indent: str, parts: list) -> None:
-        """Extend parts with the records as _write writes a list at this indent, in one pass over the cells.
-
-        A record is written as its opening (the identity head, the 5-tuple
-        and the residual's brace) and its (target, numerator) strings.  A
-        record's cell is (a, b, c, d)·L + f·K + identity with L = R·K, so its
-        opening is read off two digits: abcd(cell // L) and the head and tail
-        of cell % L, each string built once per value seen.  Each (target,
-        numerator) string is built once too.
-        """
-        R, idents, keys, nums = self.report._cells
-        K, text = len(idents), self.text
-        L = R * K
-        inner = indent + "  "
-        key, item = inner + "  ", inner + "    "
-        sep, end = "," + item, f"{key}}}{inner}}}"  # end closes a record's residual and the record
-        close = end + "," + inner
-        heads = [f'{close}{{{key}"identity": {_encode_str(name)},{key}"tuple": [{item}' for name in idents]
-
-        @cache
-        def abcd(code: int) -> str:
-            q, d = divmod(code, R)
-            q, c = divmod(q, R)
-            return "{}{sep}{}{sep}{}{sep}{}".format(*divmod(q, R), c, d, sep=sep)
-
-        @cache
-        def head(low: int) -> str:  # the record's identity up to its 5-tuple
-            return heads[low % K]
-
-        @cache
-        def tail(low: int) -> str:  # f and what follows the 5-tuple up to the first pair
-            return f'{sep}{low // K}{key}],{key}"residual": {{{item}'
-
-        @cache
-        def pair(n, m: int) -> str:
-            return f'"{m}": "{text(n)}"'
-
-        starts, cells = self._starts()
-        lows = list(map(L.__rmod__, cells))
-        opens = map(add, map(add, map(head, lows), map(abcd, map(L.__rfloordiv__, cells))), map(tail, lows))
-        glue = [next(opens) if start else sep for start in starts]  # what comes before each cell's pair
-        glue[0] = "[" + inner + glue[0][len(close) :]
-        parts.extend(chain.from_iterable(zip(glue, map(pair, nums, map(R.__rmod__, keys)))))
-        parts.append(end + indent + "]")
-
-
 def _verify_section(T, args) -> tuple[int, dict]:
     report = check_identities(T, args.family, cap=args.cap)
     section = {
         "family": report.checked,
         "multiplicative": True,
         "leibniz": report.ok,
-        "violations": _Violations(report),
+        "violations": report,
     }
     return (0 if report.ok else CHECK_FAILED), section
 
@@ -351,19 +269,26 @@ def _render_header(doc: dict) -> list[str]:
     ]
 
 
+def _violation_count(report) -> int:
+    """The number of violation records: the distinct key // R of the report's cells."""
+    R, _, keys, _ = report._cells
+    return len(set(map(R.__rfloordiv__, keys)))
+
+
 def _render_verify(doc: dict) -> list[str]:
     lines = _render_header(doc)
     lines.append(f"entries: {doc['entries']}")
     lines.append(f"family: {doc['family']}")
     lines.append(f"multiplicative: {_fmt_bool(doc['multiplicative'])}")
     lines.append(f"leibniz: {_fmt_bool(doc['leibniz'])}")
-    violations = doc["violations"]
-    lines.append(f"violations: {len(violations)}")
-    for v in violations[:_MAX_TEXT_VIOLATIONS]:  # the only records built for text output
-        residual = " ".join(f"{i}={c}" for i, c in v["residual"].items())
-        lines.append(f"violation: {v['identity']} ({','.join(map(str, v['tuple']))}) -> {residual}")
-    if len(violations) > _MAX_TEXT_VIOLATIONS:
-        lines.append(f"... {len(violations) - _MAX_TEXT_VIOLATIONS} more violations")
+    report = doc["violations"]
+    count = _violation_count(report)
+    lines.append(f"violations: {count}")
+    for ident, tup, pairs in islice(report._records(), _MAX_TEXT_VIOLATIONS):  # the only records decoded for text
+        residual = " ".join(f"{m}={rat_str(rat_canon(n, report.denominator))}" for m, n in pairs)
+        lines.append(f"violation: {ident} ({','.join(map(str, tup))}) -> {residual}")
+    if count > _MAX_TEXT_VIOLATIONS:
+        lines.append(f"... {count - _MAX_TEXT_VIOLATIONS} more violations")
     return lines
 
 
@@ -393,7 +318,9 @@ def _decompose_lines(doc: dict) -> list[str]:
         )
         for i, j, k, c, m in comp["entries"]:
             lines.append(f"entry: prod {i} {j} {k} = {c} * {m}")
-    lines.append(f"orthogonal: {_fmt_bool(all(all(row) for row in doc['orthogonality']))}")
+    # each row that no straddler touches is one shared tuple, so each distinct row is read once, not c² cells
+    rows = {id(row): row for row in doc["orthogonality"]}.values()
+    lines.append(f"orthogonal: {_fmt_bool(all(map(all, rows)))}")
     lines.append(f"ideals: {_fmt_bool(all(doc['ideals']))}")
     lines.append(f"covers: {_fmt_bool(doc['covers'])}")
     lines.append(f"modes_agree: {_fmt_bool(doc['modes_agree'])}")
@@ -491,12 +418,12 @@ def _write(obj, parts: list, indent: str = "\n") -> None:
     with its key and separator as one piece.  Nothing is joined until the
     caller joins parts once, so no piece is copied on its way out.
     """
-    if type(obj) is _Violations and obj:
-        obj.json(indent, parts)
+    if type(obj) is IdentityReport:
+        _write_violations(obj, indent, parts)
         return
     if isinstance(obj, dict):
         items, brackets = [(_encode_str(k) + ": ", v) for k, v in obj.items()], "{}"
-    elif isinstance(obj, (list, tuple, _Violations)):
+    elif isinstance(obj, (list, tuple)):
         items, brackets = [("", v) for v in obj], "[]"
     elif isinstance(obj, (str, int, type(None))):  # bool is an int
         parts.append(json.dumps(obj))
@@ -518,6 +445,59 @@ def _write(obj, parts: list, indent: str = "\n") -> None:
             _write(v, parts, inner)
         before = "," + inner
     parts.append(indent + brackets[1])
+
+
+def _write_violations(report, indent: str, parts: list) -> None:
+    """Extend parts with the report's violations as _write writes a list of records at this indent.
+
+    A record, {"identity", "tuple", "residual"}, is written in one pass over
+    the cells as its opening (the identity head, the 5-tuple and the
+    residual's brace) and its (target, numerator) strings.  A record's cell
+    is (a, b, c, d)·L + f·K + identity with L = R·K, so its opening is read
+    off two digits: abcd(cell // L) and the head and tail of cell % L, each
+    string built once per value seen.  Each (target, numerator) string is
+    built once too.
+    """
+    R, idents, keys, nums = report._cells
+    if not keys:
+        parts.append("[]")
+        return
+    K = len(idents)
+    L = R * K
+    text = cache(lambda n: rat_str(rat_canon(n, report.denominator)))  # one string per numerator
+    inner = indent + "  "
+    key, item = inner + "  ", inner + "    "
+    sep, end = "," + item, f"{key}}}{inner}}}"  # end closes a record's residual and the record
+    close = end + "," + inner
+    heads = [f'{close}{{{key}"identity": {_encode_str(name)},{key}"tuple": [{item}' for name in idents]
+
+    @cache
+    def abcd(code: int) -> str:
+        q, d = divmod(code, R)
+        q, c = divmod(q, R)
+        return "{}{sep}{}{sep}{}{sep}{}".format(*divmod(q, R), c, d, sep=sep)
+
+    @cache
+    def head(low: int) -> str:  # the record's identity up to its 5-tuple
+        return heads[low % K]
+
+    @cache
+    def tail(low: int) -> str:  # f and what follows the 5-tuple up to the first pair
+        return f'{sep}{low // K}{key}],{key}"residual": {{{item}'
+
+    @cache
+    def pair(n, m: int) -> str:
+        return f'"{m}": "{text(n)}"'
+
+    cells = list(map(R.__rfloordiv__, keys))
+    starts = [True, *map(ne, cells[1:], cells)]  # a cell starts a record when its key // R is not the last key's
+    cells = list(compress(cells, starts))
+    lows = list(map(L.__rmod__, cells))
+    opens = map(add, map(add, map(head, lows), map(abcd, map(L.__rfloordiv__, cells))), map(tail, lows))
+    glue = [next(opens) if start else sep for start in starts]  # what comes before each cell's pair
+    glue[0] = "[" + inner + glue[0][len(close) :]
+    parts.extend(chain.from_iterable(zip(glue, map(pair, nums, map(R.__rmod__, keys)))))
+    parts.append(end + indent + "]")
 
 
 def _dumps(obj, end: str = "") -> str:

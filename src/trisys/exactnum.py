@@ -21,7 +21,7 @@ from .errors import DimensionError
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 
-_RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: \d matches every Unicode digit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

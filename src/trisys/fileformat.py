@@ -46,7 +46,8 @@ def _column_of(line: str, token_pos: int) -> int:
 
 
 def _parse_int(token: str, lineno: int, line: str, pos: int) -> int:
-    if not (token.isdecimal() or (token.startswith("-") and token[1:].isdecimal())):
+    # ASCII digits only: int() also reads every other Unicode decimal digit
+    if not (token.isascii() and (token.isdecimal() or token[:1] == "-" and token[1:].isdecimal())):
         raise ParseError(f"expected an integer, got {token!r}", lineno, _column_of(line, pos))
     return int(token)
 

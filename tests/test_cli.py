@@ -108,6 +108,11 @@ def test_parse_rational_coefficients():
         ("dim 3\nprod 1 1 \u00b2 = 1 * 3\n", "line 2, column 10: expected an integer, got '\u00b2'"),
         ("dim \u00b2\n", "line 1, column 5: expected an integer, got '\u00b2'"),
         ("dim 3\nlabel \u00b9 x\n", "line 2, column 7: expected an integer, got '\u00b9'"),
+        # other Unicode decimal digits pass str.isdecimal and int() reads them: ASCII only
+        ("dim 3\nprod 1 1 \u0663 = 1 * 3\n", "line 2, column 10: expected an integer, got '\u0663'"),
+        ("dim \u0663\n", "line 1, column 5: expected an integer, got '\u0663'"),
+        ("dim 3\nlabel \u0663 x\n", "line 2, column 7: expected an integer, got '\u0663'"),
+        ("dim 3\nprod 1 1 1 = \u0663/2 * 3\n", "line 2, column 14: expected a rational 'p' or 'p/q', got '\u0663/2'"),
     ],
 )
 def test_parse_errors_carry_line_info(text, fragment):
@@ -584,9 +589,11 @@ def test_wide_sparse_file_finishes_quickly(tmp_path, command, text):
     assert elapsed < 20, f"{command} on a dim-500 file took {elapsed:.1f} s"
 
 
-def test_wide_sparse_decompose_runs_in_bounded_memory(tmp_path):
-    # about dim classes, of which only the straddled ones get their own orthogonality row
-    text = "dim 20000\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\nprod 300 300 300 = 1 * 499\n"
+@pytest.mark.parametrize("dim", [20000, 100000])
+def test_wide_sparse_decompose_runs_in_bounded_memory(tmp_path, dim):
+    # about dim classes, of which only the straddled ones get their own orthogonality row,
+    # and the renderer reads each distinct row once
+    text = f"dim {dim}\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\nprod 300 300 300 = 1 * 499\n"
     path = write(tmp_path, "wide.tri", text)
     src = os.path.dirname(os.path.dirname(ts.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -606,7 +613,14 @@ def test_wide_sparse_decompose_runs_in_bounded_memory(tmp_path):
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "\ncovers: yes\n" in proc.stdout and "\northogonal: yes\n" in proc.stdout
-    assert elapsed < 20, f"decompose on a dim-20000 file took {elapsed:.1f} s"
+    assert elapsed < 20, f"decompose on a dim-{dim} file took {elapsed:.1f} s"
+
+
+def test_text_decompose_reports_a_non_orthogonal_pair(tmp_path):
+    # in restricted mode the straddling entry 5 2 6 -> 5 joins classes {5} and {2}
+    path = write(tmp_path, "cross.tri", "dim 6\nprod 5 2 6 = 1 * 5\n")
+    code, out, _ = run(["decompose", "--mode", "restricted", path])
+    assert code == 1 and "\northogonal: no\n" in out
 
 
 def test_minimal_counterexample_on_a_wide_file_needs_no_subset_enumeration(tmp_path):
@@ -925,20 +939,15 @@ def test_cli_builds_no_dense_residual_vector(tmp_path, monkeypatch):
 
 def test_json_report_builds_no_violation_records(tmp_path, monkeypatch):
     # --json writes the records straight from the identity cells and decodes
-    # no residual; the text renderer decodes only the records it prints, with
-    # one slice, and counts the rest without decoding them
-    reads, reports, decoded = [], [], []
-    original, check, records = cli._Violations.__getitem__, ts.system.check_identities, ts.IdentityReport._records
-
-    def counted(self, index):
-        reads.append((index, original(self, index)))
-        return reads[-1][1]
+    # no residual; the text renderer decodes only the records it prints and
+    # counts the rest without decoding them
+    reports, decoded = [], []
+    check, records = ts.system.check_identities, ts.IdentityReport._records
 
     def keep(*args, **kwargs):
         reports.append(check(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(cli._Violations, "__getitem__", counted)
     monkeypatch.setattr(cli, "check_identities", keep)
     monkeypatch.setattr(ts.IdentityReport, "_records", lambda self: (decoded.append(r) or r for r in records(self)))
     T = random_table(random.Random(139), 4, 30)
@@ -946,16 +955,15 @@ def test_json_report_builds_no_violation_records(tmp_path, monkeypatch):
     path = write(tmp_path, "dense.lts", ts.serialize_system(T))
     for argv in (["verify", "--json", path], ["report", "--json", path], ["report", "--each", "--json", path, path]):
         assert run(argv)[0] == 1
-    assert reads == [] and decoded == [] and len(reports) == 4
+    assert decoded == [] and len(reports) == 4
     assert not any("residuals" in vars(report) or "violations" in vars(report) for report in reports)
-    assert all(len(cli._Violations(report)) == count for report in reports)
+    assert all(cli._violation_count(report) == count for report in reports)
     for argv in (["verify", path], ["report", path]):
-        reads.clear()
         decoded.clear()
         code, out, _ = run(argv)
         assert code == 1 and f"violations: {count}\n" in out and "more violations" in out
-        assert len(reads) == 1 and isinstance(reads[0][0], slice) and len(reads[0][1]) == cli._MAX_TEXT_VIOLATIONS
         assert len(decoded) == cli._MAX_TEXT_VIOLATIONS and "residuals" not in vars(reports[-1])
+        assert all(f"violation: {i} ({','.join(map(str, t))}) -> " in out for i, t, _ in decoded)
 
 
 # --- every written violation, replayed ----------------------------------------------

@@ -55,6 +55,13 @@ def test_rat_parse_rejects(text):
         rat_parse(text)
 
 
+def test_rat_parse_rejects_non_ascii_digits():
+    # \d and int() read every Unicode decimal digit; the file format has ASCII digits only
+    for text in ("\u0663/2", "1/\u0663", "-\u0663", "\uff13"):
+        with pytest.raises(ValueError):
+            rat_parse(text)
+
+
 def test_rat_parse_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         rat_parse("1/0")

@@ -32,6 +32,19 @@ TEXTS = (
 )
 
 
+def _records(report):
+    """The reference for a report's violations as the writer writes them: dict records from its residuals."""
+    return [
+        {"identity": i, "tuple": t, "residual": {str(m): ts.rat_str(Fraction(n, report.denominator)) for m, n in r}}
+        for i, t, r in report.residuals
+    ]
+
+
+def _json_dumps(value):
+    """json.dumps(value, indent=2) with each IdentityReport in it written as its reference records."""
+    return json.dumps(value, indent=2, default=_records)
+
+
 def _corpus_texts():
     rng = random.Random(17)
     systems = random_verified_corpus(23, 12, max_dim=6) + random_broken_tables(29, 8)
@@ -68,7 +81,7 @@ def test_every_command_document_matches_json_dumps():
                     _, doc = cli._HANDLERS[command](path, text, args)
                 except ts.TriSysError:
                     continue  # error documents are covered through run_command below
-                assert cli._dumps(doc) == json.dumps(doc, indent=2, default=list)
+                assert cli._dumps(doc) == _json_dumps(doc)
                 documents += 1
     assert documents > 200
 
@@ -162,11 +175,12 @@ def test_violation_record_documents_match_json_dumps():
             args = parser.parse_args([command, "--family", family, path])
             args.cap = DEFAULT_IDENTITY_CAP
             _, doc = cli._HANDLERS[command](path, text, args)
-            assert doc["violations"] and type(doc["violations"]) is cli._Violations
-            assert cli._dumps(doc) == json.dumps(doc, indent=2, default=list)
-            nested = [doc["violations"][:2], {"v": doc["violations"][-2:]}]
-            assert cli._dumps(nested) == json.dumps(nested, indent=2)
-            for v in doc["violations"]:
+            report = doc["violations"]
+            assert type(report) is ts.IdentityReport and not report.ok
+            assert cli._dumps(doc) == _json_dumps(doc)
+            nested = [report, {"v": [report], "w": report}]
+            assert cli._dumps(nested) == _json_dumps(nested)
+            for v in _records(report):
                 values = v["residual"].values()
                 multi += len(values) > 1
                 negative += any(c.startswith("-") for c in values)
@@ -174,8 +188,8 @@ def test_violation_record_documents_match_json_dumps():
     assert multi and negative and fractional
 
 
-def _random_violations(rng):
-    """A _Violations over a hand-built report: every identity name, 1-5 targets, big ints, negative numerators."""
+def _random_report(rng):
+    """A hand-built report: every identity name, 1-5 targets, big ints, negative numerators."""
     ints = (1, 7, 3, 12, 2**70, 2**65 + 1)
     residuals = {
         (rng.choice(_IDENTITY_NAMES), tuple(rng.choice(ints) for _ in range(5))): tuple(
@@ -183,31 +197,31 @@ def _random_violations(rng):
         )
         for _ in range(rng.choice((0, 1, 2, 5)))
     }
-    report = ts.IdentityReport("both", [(i, t, r) for (i, t), r in residuals.items()], 6, rng.choice((1, 1, 6, 36, 2**64)))
-    return cli._Violations(report)
+    return ts.IdentityReport("both", [(i, t, r) for (i, t), r in residuals.items()], 6, rng.choice((1, 1, 6, 36, 2**64)))
 
 
 def test_hand_built_violation_records_match_json_dumps():
     rng = random.Random(157)
     names = set()
     for _ in range(500):
-        seq = _random_violations(rng)
-        names.update(ident for ident, _, _ in seq.report.residuals)
-        for value in (seq, {"violations": seq, "x": [seq]}, [[seq]]):
-            assert cli._dumps(value) == json.dumps(value, indent=2, default=list), value
+        report = _random_report(rng)
+        names.update(ident for ident, _, _ in report.residuals)
+        for value in (report, {"violations": report, "x": [report]}, [[report]]):
+            assert cli._dumps(value) == _json_dumps(value), value
     assert names == set(_IDENTITY_NAMES)
-    empty = cli._Violations(ts.IdentityReport("both", (), 3))
+    empty = ts.IdentityReport("both", (), 3)
     assert cli._dumps(empty) == "[]" and cli._dumps({"v": [empty]}) == json.dumps({"v": [[]]}, indent=2)
-    one = cli._Violations(ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6))
-    assert list(one) == [{"identity": "four.1", "tuple": (1, 2, 3, 4, 5), "residual": {"1": "-2", "3": "1/6"}}]
-    assert cli._dumps({"v": one}) == json.dumps({"v": list(one)}, indent=2)
+    one = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6)
+    written = [{"identity": "four.1", "tuple": [1, 2, 3, 4, 5], "residual": {"1": "-2", "3": "1/6"}}]
+    assert _records(one) == [{**written[0], "tuple": (1, 2, 3, 4, 5)}]
+    assert cli._dumps({"v": one}) == json.dumps({"v": written}, indent=2)
 
 
 _FAMILIES = {"four": FOUR_FAMILY, "two": TWO_FAMILY, "both": _IDENTITY_NAMES}
 
 
-def _family_violations(rng, family, dim):
-    """A _Violations over a hand-built report with every identity of the family and digits up to dim.
+def _family_report(rng, family, dim):
+    """A hand-built report with every identity of the family and digits up to dim.
 
     Its radices are K = len(family) and R = dim + 1; 5-tuples come from a
     small pool, so several identities share one.
@@ -223,8 +237,7 @@ def _family_violations(rng, family, dim):
     for name, tup in cells:
         targets = sorted(rng.sample(range(1, dim + 1), rng.randint(1, min(5, dim))))
         residuals.append((name, tup, tuple((m, rng.choice(numerators)) for m in targets)))
-    report = ts.IdentityReport(family, residuals, dim, rng.choice((1, 6, 36, 2**64)))
-    return cli._Violations(report)
+    return ts.IdentityReport(family, residuals, dim, rng.choice((1, 6, 36, 2**64)))
 
 
 def test_radix_openings_match_json_dumps_for_every_family_and_dim():
@@ -234,15 +247,16 @@ def test_radix_openings_match_json_dumps_for_every_family_and_dim():
     for family in _FAMILIES:
         for dim in range(1, 10):
             for _ in range(12):
-                seq = _family_violations(rng, family, dim)
-                R, idents = seq.report._cells[:2]
+                report = _family_report(rng, family, dim)
+                R, idents = report._cells[:2]
                 assert (R, len(idents)) == (dim + 1, len(_FAMILIES[family]))
                 radices.add((family, R))
-                tuples = [t for _, t, _ in seq.report.residuals]
+                tuples = [t for _, t, _ in report.residuals]
                 shared += len(set(tuples)) < len(tuples)
-                targets.update(len(pairs) for _, _, pairs in seq.report.residuals)
-                for value in (seq, {"violations": seq, "x": [seq]}, [[seq]]):
-                    assert cli._dumps(value) == json.dumps(value, indent=2, default=list), (family, dim)
+                targets.update(len(pairs) for _, _, pairs in report.residuals)
+                assert cli._violation_count(report) == len(report.residuals)
+                for value in (report, {"violations": report, "x": [report]}, [[report]]):
+                    assert cli._dumps(value) == _json_dumps(value), (family, dim)
     assert {("two", 2), ("four", 4), ("both", 6)} <= radices  # R == K
     assert targets == {1, 2, 3, 4, 5} and shared > 100
 
@@ -258,8 +272,8 @@ def test_hand_built_reports_equal_computed_ones():
                 dense_check_identities(T, family),
             ):
                 assert hand == report and hash(hand) == hash(report)
-                assert cli._dumps({"v": cli._Violations(hand)}) == cli._dumps({"v": cli._Violations(report)})
-                assert len(cli._Violations(hand)) == len(report.residuals)
+                assert cli._dumps({"v": hand}) == cli._dumps({"v": report}) == _json_dumps({"v": report})
+                assert cli._violation_count(hand) == cli._violation_count(report) == len(report.residuals)
 
 
 @pytest.mark.parametrize(
