@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, islice
 from operator import add, ne
@@ -33,14 +34,8 @@ from .errors import (
     ParseError,
     ZeroCoefficient,
 )
-from .exactnum import coordinate_space, rat_canon, rat_str
-from .fileformat import (
-    content_hash,
-    parse_leibniz,
-    parse_system,
-    serialize_leibniz,
-    serialize_system,
-)
+from .exactnum import coordinate_space, rat_str
+from .fileformat import _is_int, content_hash, parse_leibniz, parse_system, serialize_leibniz, serialize_system
 from .connect import partition
 from .jideal import check_annihilation, compute_jideal, split_basis, split_system
 from .system import DEFAULT_IDENTITY_CAP, IdentityReport, check_identities, lift_from_leibniz
@@ -79,10 +74,11 @@ def _fmt_bool(b: bool) -> str:
 def _parse_iset(text: str) -> tuple[int, ...]:
     if text in ("", "-"):
         return ()
-    try:
-        return tuple(sorted(int(tok) for tok in text.split(",")))
-    except ValueError:
-        raise ValueError(f"expected a comma-separated index list, got {text!r}") from None
+    tokens = [tok.strip() for tok in text.split(",")]
+    if all(map(_is_int, tokens)):  # the integers the file format reads
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            return tuple(sorted(map(int, tokens)))
+    raise ValueError(f"expected a comma-separated index list, got {text!r}")
 
 
 def _entry_doc(entry) -> list:
@@ -285,7 +281,7 @@ def _render_verify(doc: dict) -> list[str]:
     count = _violation_count(report)
     lines.append(f"violations: {count}")
     for ident, tup, pairs in islice(report._records(), _MAX_TEXT_VIOLATIONS):  # the only records decoded for text
-        residual = " ".join(f"{m}={rat_str(rat_canon(n, report.denominator))}" for m, n in pairs)
+        residual = " ".join(f"{m}={rat_str(Fraction(n, report.denominator))}" for m, n in pairs)
         lines.append(f"violation: {ident} ({','.join(map(str, tup))}) -> {residual}")
     if count > _MAX_TEXT_VIOLATIONS:
         lines.append(f"... {count - _MAX_TEXT_VIOLATIONS} more violations")
@@ -464,7 +460,7 @@ def _write_violations(report, indent: str, parts: list) -> None:
         return
     K = len(idents)
     L = R * K
-    text = cache(lambda n: rat_str(rat_canon(n, report.denominator)))  # one string per numerator
+    text = cache(lambda n: rat_str(Fraction(n, report.denominator)))  # one string per numerator
     inner = indent + "  "
     key, item = inner + "  ", inner + "    "
     sep, end = "," + item, f"{key}}}{inner}}}"  # end closes a record's residual and the record
@@ -543,6 +539,10 @@ def run_command(argv, out=None, err=None) -> int:
             code, doc = CHECK_FAILED, {"command": args.command, "file": path, "error": error}
         except _INPUT_ERRORS as exc:
             err.write(f"error: {exc}\n")
+            worst = max(worst, USAGE_ERROR)
+            continue
+        except MemoryError:  # no dim cap yet: a few-byte file can ask for a dim-long allocation
+            err.write(f"error: {path}: out of memory\n")
             worst = max(worst, USAGE_ERROR)
             continue
         if batch is not None:

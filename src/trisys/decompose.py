@@ -14,7 +14,7 @@ A basis subset spans an ideal iff it is closed under the entry digraph
 closures cl(x), and the first counterexample in size-then-lexicographic
 order is itself a principal closure.  is_minimal takes it from the dim
 principal closures, in O(dim * (dim + |T|)); the exhaustive 2^dim
-enumeration stays public as the reference.
+enumeration, enumerate_inherited_ideals, is what the tests check it against.
 """
 
 from __future__ import annotations
@@ -130,16 +130,6 @@ def components(S: SplitSystem, mode: str = "literal") -> list[Component]:
     return built
 
 
-def check_orthogonal(S: SplitSystem, c1: Component, c2: Component) -> bool:
-    """True iff no table entry draws factors from both components."""
-    set1, set2 = set(c1.indices), set(c2.indices)
-    for i, j, k, _, _ in S.sys.entries:
-        factors = {i, j, k}
-        if factors & set1 and factors & set2:
-            return False
-    return True
-
-
 def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionReport:
     """Components plus the ideal, orthogonality, and coverage verdicts.
 
@@ -225,26 +215,13 @@ def enumerate_inherited_ideals(
     return out
 
 
-def minimality_oracle(S: SplitSystem, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """Exhaustive minimality: every nonzero inherited ideal spans iset or all."""
-    return _oracle_counterexample(S, cap) is None
-
-
-def _oracle_counterexample(S: SplitSystem, cap: int) -> tuple[int, ...] | None:
-    full = tuple(range(1, S.sys.dim + 1))
-    for subset in enumerate_inherited_ideals(S, cap):
-        if subset and subset != S.iset and subset != full:
-            return subset
-    return None
-
-
 def _principal_counterexample(S: SplitSystem) -> tuple[int, ...] | None:
-    """The counterexample _oracle_counterexample finds, read off the dim principal closures.
+    """The first nonzero inherited ideal, by size then lexicographically, that is neither iset nor all.
 
-    cl(x) is the successor closure of x in the entry digraph.  The first
-    counterexample C holds an x with cl(x) other than iset (else C, the
-    union of its members' closures, would be iset), and cl(x) lies in C, so
-    cl(x) = C.
+    It is read off the dim principal closures, where cl(x) is the successor
+    closure of x in the entry digraph.  The first counterexample C holds an
+    x with cl(x) other than iset (else C, the union of its members'
+    closures, would be iset), and cl(x) lies in C, so cl(x) = C.
     """
     succ = _successors(S.sys)
     best: tuple[int, ...] | None = None

@@ -27,14 +27,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rat_canon(num: int, den: int = 1) -> Fraction:
-    """Canonical rational num/den: reduced, positive denominator, zero as 0/1.
-
-    Raises ZeroDivisionError when den is 0.
-    """
-    return Fraction(num, den)
-
-
 def rat_parse(text: str) -> Fraction:
     """Parse "p" or "p/q" with an optional leading minus on p only."""
     m = _RAT_RE.fullmatch(text)
@@ -50,10 +42,6 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def zero_vector(dim: int) -> Vector:
-    return (ZERO,) * dim
 
 
 # Tuples built on every call are built at their exact size, from a list.
@@ -107,10 +95,6 @@ class RowSpace:
     def rank(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> tuple[int, ...]:
-        """0-based pivot column of each row."""
-        return tuple(next(p for p, c in enumerate(row) if c) for row in self.rows)
-
     def basis_indices(self) -> tuple[int, ...] | None:
         """1-based indices when every row is a standard basis vector, else None."""
         out = []
@@ -156,12 +140,6 @@ def span_insert(space: RowSpace, v: Vector) -> RowSpace:
     adjusted.append(new)
     adjusted.sort(key=lambda row: next(p for p, c in enumerate(row) if c))
     return RowSpace(space.dim, tuple(adjusted))
-
-
-def span_contains(space: RowSpace, v: Vector) -> bool:
-    """True iff v lies in the span."""
-    _check_dim(space, v)
-    return not any(_reduce(space.rows, v))
 
 
 def rowspace_from(dim: int, vectors: Iterable[Vector]) -> RowSpace:

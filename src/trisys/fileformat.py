@@ -45,9 +45,13 @@ def _column_of(line: str, token_pos: int) -> int:
         return len(line)
 
 
+def _is_int(token: str) -> bool:
+    """ASCII digits with an optional leading '-': int() also reads '+', '_' and every Unicode decimal digit."""
+    return token.isascii() and (token.isdecimal() or token[:1] == "-" and token[1:].isdecimal())
+
+
 def _parse_int(token: str, lineno: int, line: str, pos: int) -> int:
-    # ASCII digits only: int() also reads every other Unicode decimal digit
-    if not (token.isascii() and (token.isdecimal() or token[:1] == "-" and token[1:].isdecimal())):
+    if not _is_int(token):
         raise ParseError(f"expected an integer, got {token!r}", lineno, _column_of(line, pos))
     return int(token)
 

@@ -225,11 +225,6 @@ def _annihilates(T: TripleSystem, inside: set[int]) -> bool:
     return not any(j in inside or k in inside for _, j, k in T.table)
 
 
-def is_ideal(T: TripleSystem, S: RowSpace) -> bool:
-    """True iff S is already closed under products with the whole system."""
-    return ideal_closure(T, S).subspace == S
-
-
 def split_basis(T: TripleSystem, J: RowSpace, mode: str = "leibniz") -> SplitSystem:
     """Split the basis indices along an ideal spanned by basis vectors.
 

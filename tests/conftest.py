@@ -296,7 +296,7 @@ def same_subspace(space, vectors, dim):
         return False
     if not all(oracle_solve_membership(vectors, row) for row in space.rows):
         return False
-    return all(ts.span_contains(space, v) for v in vectors)
+    return all(oracle_solve_membership(space.rows, v) for v in vectors)
 
 
 def oracle_hyperedge_components(T):
@@ -630,6 +630,38 @@ def dense_mu_multiplicativity_check(S):
                     if not _dense_realized(S, t1, s1, s2, t2):
                         return False, ts.MuViolation(t1, (mark(s1), mark(s2)), t2)
     return True, None
+
+
+# --- exhaustive decomposition references ----------------------------------------
+#
+# The library reads orthogonality off the entries that straddle classes and
+# takes the first counterexample ideal from the dim principal closures.  These
+# references scan the table once per pair of components and walk every
+# inherited ideal that enumerate_inherited_ideals lists.
+
+
+def check_orthogonal(S, c1, c2):
+    """True iff no table entry draws factors from both components."""
+    set1, set2 = set(c1.indices), set(c2.indices)
+    for i, j, k, _, _ in S.sys.entries:
+        factors = {i, j, k}
+        if factors & set1 and factors & set2:
+            return False
+    return True
+
+
+def oracle_counterexample(S, cap=ts.decompose.DEFAULT_ORACLE_CAP):
+    """The first nonzero inherited ideal, by size then lexicographically, that is neither iset nor all."""
+    full = tuple(range(1, S.sys.dim + 1))
+    for subset in ts.enumerate_inherited_ideals(S, cap):
+        if subset and subset != S.iset and subset != full:
+            return subset
+    return None
+
+
+def minimality_oracle(S, cap=ts.decompose.DEFAULT_ORACLE_CAP):
+    """Exhaustive minimality: every nonzero inherited ideal spans iset or all."""
+    return oracle_counterexample(S, cap) is None
 
 
 def random_arbitrary_draws(seed, count, max_dim=5, max_entries=6):

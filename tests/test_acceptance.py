@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,7 @@ from conftest import (
     make_nf3_lift,
     make_nf_bracket,
     make_unadapted,
+    minimality_oracle,
     oracle_hyperedge_components,
     oracle_ideal_closure,
     oracle_jideal_vectors,
@@ -141,7 +143,7 @@ def test_c2_nf3_pipeline():
     t0 = time.perf_counter()
     L = ts.parse_leibniz("dim 3\nbrk 1 1 = 1 * 2\nbrk 2 1 = 1 * 3\n")
     T = ts.lift_from_leibniz(L)
-    assert T.table == {(1, 1, 1): (ts.rat_canon(1), 3)}
+    assert T.table == {(1, 1, 1): (Fraction(1), 3)}
 
     witness = ts.compute_jideal(T)
     assert witness.subspace.rows == (ts.basis_vector(3, 3),)
@@ -157,7 +159,7 @@ def test_c2_nf3_pipeline():
     assert not ok
     assert violation == ts.MuViolation(3, (barred(1), barred(1)), 1)
 
-    assert not ts.minimality_oracle(S)
+    assert not minimality_oracle(S)
     assert ts.is_minimal(S).verdict == "not_minimal"
 
     elapsed = time.perf_counter() - t0
@@ -222,7 +224,7 @@ def test_c4_decomposition_theorem(verified_corpus):
     for T in verified_corpus:
         assert T.dim <= 6
         assert len(T.entries) <= 0.15 * T.dim**3
-        assert all(c in tuple(map(ts.rat_canon, COEFFS)) for _, _, _, c, _ in T.entries)
+        assert all(c in tuple(map(Fraction, COEFFS)) for _, _, _, c, _ in T.entries)
         assert ts.check_identities(T, "both").ok
         S = ts.split_system(T)
         report = ts.check_decomposition(S, "literal")
@@ -245,7 +247,7 @@ def test_c5_minimality_criterion_equals_oracle(verified_corpus):
         if not ts.mu_multiplicativity_check(S)[0]:
             continue
         mu_count += 1
-        oracle = ts.minimality_oracle(S)
+        oracle = minimality_oracle(S)
         for mode in ("literal", "restricted"):
             verdict = ts.is_minimal(S, mode)
             assert verdict.mu_multiplicative
@@ -299,7 +301,7 @@ def test_c7_closure_oracle(lemma_corpus, verified_corpus):
         assert T.dim <= 6
         assert same_subspace(ts.compute_jideal(T).subspace, oracle_jideal_vectors(T), T.dim)
         seeds = [
-            tuple(ts.rat_canon(rng.randint(-2, 2)) for _ in range(T.dim))
+            tuple(Fraction(rng.randint(-2, 2)) for _ in range(T.dim))
             for _ in range(rng.randint(1, 2))
         ]
         closed = ts.ideal_closure(T, ts.rowspace_from(T.dim, seeds)).subspace

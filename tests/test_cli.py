@@ -54,7 +54,7 @@ def run(argv):
 def test_parse_system_jacobson():
     T = ts.parse_system(JA_TEXT)
     assert T.dim == 2
-    assert T.table[(1, 2, 1)] == (ts.rat_canon(1), 2)
+    assert T.table[(1, 2, 1)] == (Fraction(1), 2)
 
 
 def test_parse_system_nf3t():
@@ -89,7 +89,7 @@ def test_labels_roundtrip_in_serialization():
 
 def test_parse_rational_coefficients():
     T = ts.parse_system("dim 2\nprod 1 2 1 = -3/6 * 2\n")
-    assert T.table[(1, 2, 1)] == (ts.rat_canon(-1, 2), 2)
+    assert T.table[(1, 2, 1)] == (Fraction(-1, 2), 2)
 
 
 @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ def test_parse_errors_carry_line_info(text, fragment):
 def test_parse_leibniz_nf3():
     L = ts.parse_leibniz(NF3_BRK_TEXT)
     assert L.dim == 3
-    assert L.table[(1, 1)] == ((ts.rat_canon(1), 2),)
+    assert L.table[(1, 1)] == ((Fraction(1), 2),)
 
 
 def test_parse_leibniz_zero_bracket():
@@ -589,12 +589,8 @@ def test_wide_sparse_file_finishes_quickly(tmp_path, command, text):
     assert elapsed < 20, f"{command} on a dim-500 file took {elapsed:.1f} s"
 
 
-@pytest.mark.parametrize("dim", [20000, 100000])
-def test_wide_sparse_decompose_runs_in_bounded_memory(tmp_path, dim):
-    # about dim classes, of which only the straddled ones get their own orthogonality row,
-    # and the renderer reads each distinct row once
-    text = f"dim {dim}\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\nprod 300 300 300 = 1 * 499\n"
-    path = write(tmp_path, "wide.tri", text)
+def run_under_512_mb(*argv):
+    """The CLI in a subprocess whose address space is capped at 512 MB, so an allocation fails instead of the machine."""
     src = os.path.dirname(os.path.dirname(ts.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     limited = (
@@ -603,17 +599,43 @@ def test_wide_sparse_decompose_runs_in_bounded_memory(tmp_path, dim):
         "from trisys.cli import main\n"
         "main()\n"
     )
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", limited, "decompose", path],
+    return subprocess.run(
+        [sys.executable, "-c", limited, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+@pytest.mark.parametrize("dim", [20000, 100000])
+def test_wide_sparse_decompose_runs_in_bounded_memory(tmp_path, dim):
+    # about dim classes, of which only the straddled ones get their own orthogonality row,
+    # and the renderer reads each distinct row once
+    text = f"dim {dim}\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\nprod 300 300 300 = 1 * 499\n"
+    path = write(tmp_path, "wide.tri", text)
+    start = time.perf_counter()
+    proc = run_under_512_mb("decompose", path)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "\ncovers: yes\n" in proc.stdout and "\northogonal: yes\n" in proc.stdout
     assert elapsed < 20, f"decompose on a dim-{dim} file took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("command", ["split", "verify", "decompose"])
+def test_an_allocation_that_fails_exits_2_naming_the_file(tmp_path, command):
+    # every command builds a dim-long labels tuple, which no machine holds at dim 10**12;
+    # only ever run this under the address-space limit
+    huge = write(tmp_path, "huge.tri", "dim 1000000000000\n")
+    proc = run_under_512_mb(command, huge)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {huge}: out of memory\n")
+
+
+def test_each_goes_on_after_an_allocation_that_fails(tmp_path):
+    huge = write(tmp_path, "huge.tri", "dim 1000000000000\n")
+    good = write(tmp_path, "ja.lts", JA_TEXT)
+    proc = run_under_512_mb("split", "--each", huge, good)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {huge}: out of memory\n")
+    assert proc.stdout == f"== {huge} ==\n== {good} ==\n" + run(["split", good])[1]
 
 
 def test_text_decompose_reports_a_non_orthogonal_pair(tmp_path):
@@ -697,6 +719,13 @@ def test_generic_iset_repeats_and_order_do_not_matter(tmp_path):
         for messy, plain in (("3,1,3", "1,3"), ("3,3", "3"), ("2,3,2", "2,3")):
             assert run([*command, "--generic", messy, path]) == run([*command, "--generic", plain, path])
     assert run(["split", "--generic", "3,4", path]) == (2, "", "error: basis index 4 out of range 1..3\n")
+    assert run(["split", "--generic", "-1", path]) == (2, "", "error: basis index -1 out of range 1..3\n")
+    assert run(["split", "--generic", " 3, 1 ", path]) == run(["split", "--generic", "1,3", path])
+    # the integers of the file format: ASCII digits and an optional '-', which int() alone does not enforce
+    for bad in ("1_0", "\u0663", "+3", "3,+1", "1,,3"):
+        assert run(["split", "--generic", bad, path]) == (
+            2, "", f"error: expected a comma-separated index list, got {bad!r}\n"
+        )
 
 
 def test_cli_closes_input_files(tmp_path):

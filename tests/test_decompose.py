@@ -8,11 +8,14 @@ import trisys as ts
 from trisys import barred, plain
 from conftest import (
     block_sum,
+    check_orthogonal,
     make_jacobson_a,
     make_jacobson_b,
     make_mutual_pair,
     make_nf3_lift,
     make_zero_system,
+    minimality_oracle,
+    oracle_counterexample,
     random_arbitrary_splits,
     random_split_systems,
     random_table,
@@ -106,14 +109,14 @@ def test_components_equal_construct_system_of_their_entries():
 def test_orthogonal_nf3_components():
     S = split(make_nf3_lift())
     c1, c2 = ts.components(S)
-    assert ts.check_orthogonal(S, c1, c2)
+    assert check_orthogonal(S, c1, c2)
 
 
 def test_orthogonal_block_sum():
     S = split(block_sum(make_jacobson_a(), make_jacobson_a()))
     c1, c2 = ts.components(S)
     assert c1.indices == (1, 2) and c2.indices == (3, 4)
-    assert ts.check_orthogonal(S, c1, c2)
+    assert check_orthogonal(S, c1, c2)
 
 
 def test_orthogonal_detects_mixing_entry():
@@ -123,7 +126,7 @@ def test_orthogonal_detects_mixing_entry():
     zero2 = ts.construct_system(1, [])
     c1 = ts.Component((1, 2), zero1, (), (1, 2))
     c2 = ts.Component((3,), zero2, (), (3,))
-    assert not ts.check_orthogonal(S, c1, c2)
+    assert not check_orthogonal(S, c1, c2)
 
 
 # --- the decomposition report ------------------------------------------------------
@@ -166,8 +169,8 @@ def test_decomposition_deterministic():
 
 
 def test_ideal_and_orthogonality_flags_match_pointwise_checks():
-    # both come from one entry scan; is_ideal closes the row space instead,
-    # and check_orthogonal scans the table once per pair of components
+    # both come from one entry scan; the reference closes each component's row space
+    # instead, and check_orthogonal scans the table once per pair of components
     systems = random_split_systems(311, 150, max_dim=6, max_entries=6)
     systems += [split(T) for T in random_verified_corpus(312, 40, max_dim=7)]
     not_ideal = not_orthogonal = 0
@@ -176,13 +179,11 @@ def test_ideal_and_orthogonality_flags_match_pointwise_checks():
         for mode in ("literal", "restricted"):
             report = ts.check_decomposition(S, mode)
             comps = report.components
-            want = tuple(
-                ts.is_ideal(S.sys, ts.rowspace_from(n, [ts.basis_vector(n, i) for i in comp.indices]))
-                for comp in comps
-            )
+            spans = [ts.rowspace_from(n, [ts.basis_vector(n, i) for i in comp.indices]) for comp in comps]
+            want = tuple(ts.ideal_closure(S.sys, span).subspace == span for span in spans)
             assert report.ideal_flags == want, (S, mode)
             ortho = tuple(
-                tuple(a is b or ts.check_orthogonal(S, a, b) for b in comps) for a in comps
+                tuple(a is b or check_orthogonal(S, a, b) for b in comps) for a in comps
             )
             assert report.orthogonality == ortho, (S, mode)
             assert report.ok == (
@@ -254,21 +255,21 @@ def test_enumerate_cap():
 
 
 def test_oracle_nf3_not_minimal():
-    assert not ts.minimality_oracle(split(make_nf3_lift()))
+    assert not minimality_oracle(split(make_nf3_lift()))
 
 
 def test_oracle_jacobson_a_not_minimal():
     # span{v2} is a nonzero inherited ideal distinct from the zero deviation
     # ideal and from the whole system
-    assert not ts.minimality_oracle(split(make_jacobson_a()))
+    assert not minimality_oracle(split(make_jacobson_a()))
 
 
 def test_oracle_jacobson_b_minimal():
-    assert ts.minimality_oracle(split(make_jacobson_b()))
+    assert minimality_oracle(split(make_jacobson_b()))
 
 
 def test_oracle_dim1_zero_minimal():
-    assert ts.minimality_oracle(split(make_zero_system(1)))
+    assert minimality_oracle(split(make_zero_system(1)))
 
 
 def _random_isets(seed, count, max_dim=9):
@@ -296,7 +297,7 @@ def test_principal_closures_find_the_enumerated_counterexample():
     splits += [split(T) for T in (make_jacobson_a(), make_jacobson_b(), make_nf3_lift(), make_zero_system(12))]
     found = 0
     for S in splits:
-        want = ts.decompose._oracle_counterexample(S, 12)
+        want = oracle_counterexample(S, 12)
         assert ts.decompose._principal_counterexample(S) == want, S
         found += want is not None
     assert found > 2000 and len(splits) - found > 200
@@ -307,9 +308,9 @@ def test_is_minimal_verdicts_match_the_exhaustive_oracle():
         for mode in ("literal", "restricted"):
             v = ts.is_minimal(S, mode)
             if v.oracle_used:
-                assert (v.verdict == "minimal") == ts.minimality_oracle(S)
+                assert (v.verdict == "minimal") == minimality_oracle(S)
             if v.verdict == "not_minimal":
-                assert v.counterexample_ideal == ts.decompose._oracle_counterexample(S, 12)
+                assert v.counterexample_ideal == oracle_counterexample(S, 12)
 
 
 # --- minimality verdicts ------------------------------------------------------------------
@@ -375,7 +376,7 @@ def test_generic_split_modes_can_disagree_outside_verified_systems():
     assert not ts.check_identities(T, "both").ok
     S = ts.split_system(T)
     assert ts.mu_multiplicativity_check(S)[0]
-    assert not ts.minimality_oracle(S)
+    assert not minimality_oracle(S)
     assert ts.is_minimal(S, "literal").verdict == "minimal"
     assert ts.is_minimal(S, "restricted").verdict == "not_minimal"
 

@@ -132,7 +132,7 @@ def test_evaluate_jacobson_a():
 
 def test_evaluate_zero_slot():
     T = make_jacobson_a()
-    z = ts.zero_vector(2)
+    z = (Fraction(0),) * 2
     assert ts.evaluate_product(T, z, vec(1, 1), vec(1, 1)) == z
 
 

@@ -15,6 +15,19 @@ the connection or decomposition layers.
   targets outside it, and no entry has slot 2 or 3 in iset.
 - A counterexample ideal is nonempty, neither iset nor the whole index set,
   and closed: an entry with a factor in it targets it.
+
+The `jideal` rows of the `jideal --json` and `report --json` documents are
+checked as a certificate (McConnell et al., "Certifying algorithms",
+Computer Science Review 5(2), 2011), with exact coefficients read from the
+`prod` lines:
+
+- The rows are in reduced row echelon form.
+- Every generator {i,j,k} - {i,k,j} + {j,k,i} lies in their span, and the
+  document counts the nonzero ones.
+- Every product of a row with two basis vectors, in each slot, lies in their
+  span, and `annihilation` says whether those in slots 2 and 3 all vanish.
+
+Whether the span is the least such ideal is left to the oracle tests.
 """
 
 from __future__ import annotations
@@ -23,16 +36,22 @@ import io
 import itertools
 import json
 import pathlib
+import random
 import re
 import sys
+from fractions import Fraction
 
 import trisys as ts
 from trisys.cli import run_command
 from conftest import (
+    COEFFS,
+    block_sum,
     make_jacobson_a,
     make_jacobson_b,
     make_nf3_lift,
+    permute_system,
     random_arbitrary_draws,
+    random_broken_tables,
     random_split_systems,
     random_verified_corpus,
 )
@@ -126,6 +145,58 @@ def check_counterexample(dim, table, iset, ideal):
         assert m in members or not members & set(key), (ideal, key, m)
 
 
+def read_products(text):
+    """{(i, j, k): (c, m)} from the input's `prod i j k = c * m` lines, with exact coefficients."""
+    lines = [line.split() for line in text.splitlines()]
+    return {tuple(map(int, w[1:4])): (Fraction(w[5]), int(w[7])) for w in lines if w[:1] == ["prod"]}
+
+
+def in_span(pivots, rows, vector):
+    """Is the sparse vector in the span of the rows?  Reduce it against their unit pivots."""
+    rest = dict(vector)
+    for p, row in zip(pivots, rows):
+        c = rest.get(p, 0)
+        if c:
+            for x, a in row.items():
+                rest[x] = rest.get(x, 0) - c * a
+    return not any(rest.values())
+
+
+def check_jideal(dim, products, section):
+    assert section["rank"] == len(section["rows"]) and all(len(row) == dim for row in section["rows"]), section
+    rows = [{x: c for x, c in enumerate(map(Fraction, row), 1) if c} for row in section["rows"]]
+    assert all(rows), section
+    # reduced row echelon form: ascending unit pivots, each alone in its column
+    pivots = [min(row) for row in rows]
+    assert pivots == sorted(set(pivots)), section
+    for n, p in enumerate(pivots):
+        assert rows[n][p] == 1 and all(p not in row for row in rows[:n] + rows[n + 1:]), section
+    # a generator can be nonzero only at a triple one of whose three terms is an entry
+    generators = 0
+    for i, j, k in {t for i, j, k in products for t in ((i, j, k), (i, k, j), (k, i, j))}:
+        g = {}
+        for sign, key in ((1, (i, j, k)), (-1, (i, k, j)), (1, (j, k, i))):
+            if key in products:
+                c, m = products[key]
+                g[m] = g.get(m, 0) + sign * c
+        if any(g.values()):
+            generators += 1
+            assert in_span(pivots, rows, g), ((i, j, k), g, section)
+    assert section["generators"] == generators, section
+    # an entry adds row[key[s]] * c at m to the product of the row in slot s with the key's other two slots
+    annihilates = True
+    for s, row in itertools.product(range(3), rows):
+        by_pair = {}
+        for key, (c, m) in products.items():
+            if key[s] in row:
+                out = by_pair.setdefault(key[:s] + key[s + 1:], {})
+                out[m] = out.get(m, 0) + row[key[s]] * c
+        for pair, w in by_pair.items():
+            assert in_span(pivots, rows, w), (s, row, pair, w, section)
+            annihilates = annihilates and (s == 0 or not any(w.values()))
+    assert section["annihilation"] == annihilates, section
+
+
 def run(argv):
     out = io.StringIO()
     code = run_command(argv, out=out, err=io.StringIO())
@@ -143,7 +214,10 @@ def replay_documents(path, text, flags, commands, seen):
     for mode, command in itertools.product(MODES, commands):
         doc = json.loads(run([command, "--json", "--mode", mode, *flags, path])[1])
         for name, section in doc.items() if command == "report" else [(command, doc)]:
-            if name == "split" and "iset" in section:
+            if name == "jideal":
+                check_jideal(dim, read_products(text), section)
+                seen["jideal"] += 1
+            elif name == "split" and "iset" in section:
                 assert check_split(dim, table, section) == (iset, jset)
             elif name == "decompose" and "classes" in section:
                 check_classes(dim, table, section["classes"], mode == "literal")
@@ -155,21 +229,26 @@ def replay_documents(path, text, flags, commands, seen):
                     seen["counterexample"] += 1
 
 
-def test_classes_and_mu_violations_replay(tmp_path):
-    seen = dict.fromkeys(
-        (
-            "split", "classes literal", "classes restricted", "violation None", "violation plain",
-            "violation barred", "counterexample",
-        ),
-        0,
-    )
-    inputs = [(text, ()) for text in _ACCEPTANCE_TEXTS]
+def corpus_systems():
+    """The catalog systems, the acceptance lemma corpus and the conftest corpora."""
     systems = [make_jacobson_a(), make_jacobson_b(), make_nf3_lift()]
     systems += [S.sys for S in random_split_systems(211, 130, max_dim=5)]  # the acceptance lemma corpus
     systems += random_verified_corpus(223, 80, max_dim=5)
     systems += [S.sys for S in random_split_systems(241, 120, max_dim=6, max_entries=6)]
     systems += random_verified_corpus(242, 60, max_dim=8)
-    inputs += [(ts.serialize_system(T), ()) for T in systems]
+    return systems
+
+
+def test_classes_and_mu_violations_replay(tmp_path):
+    seen = dict.fromkeys(
+        (
+            "split", "jideal", "classes literal", "classes restricted", "violation None", "violation plain",
+            "violation barred", "counterexample",
+        ),
+        0,
+    )
+    inputs = [(text, ()) for text in _ACCEPTANCE_TEXTS]
+    inputs += [(ts.serialize_system(T), ()) for T in corpus_systems()]
     # ISETs drawn raw: most are refused, which keeps the CLI's NotAdmissible documents covered
     inputs += [
         (ts.serialize_system(T), ("--generic", ",".join(map(str, iset))))
@@ -188,3 +267,29 @@ def test_classes_and_mu_violations_replay(tmp_path):
         path.write_text(text, encoding="utf-8")
         replay_documents(str(path), text, op.argv[1:], (command,), seen)
     assert min(seen.values()) >= 50 and seen["classes literal"] >= 800, seen
+
+
+def test_jideal_rows_certify_the_deviation_ideal(tmp_path):
+    systems = corpus_systems() + random_broken_tables(251, 150) + [T for T, _, _ in random_arbitrary_draws(243, 300)]
+    # beside a verified block, relabelled: the unadapted system, whose ideal span{c1 e1 + c2 e2} no basis
+    # subset spans, and a system whose generator span{c2 e1 + c1 e2} is no ideal, so the closure grows
+    rng = random.Random(252)
+    for n, T in enumerate(random_verified_corpus(253, 80, max_dim=5)):
+        c1, c2 = rng.choice(COEFFS), rng.choice(COEFFS)
+        entries = [(3, 4, 3, c1, 1), (4, 3, 3, c2, 2)] if n % 2 else [(1, 2, 2, c1, 2), (2, 1, 2, c2, 1)]
+        summed = block_sum(ts.construct_system(4 if n % 2 else 2, entries), T)
+        ids = list(range(1, summed.dim + 1))
+        systems.append(permute_system(summed, dict(zip(ids, rng.sample(ids, len(ids))))))
+    texts = [*_ACCEPTANCE_TEXTS, *map(ts.serialize_system, systems)]
+    texts += [op.system.text() for workload in workloads.WORKLOADS.values() for op in workloads.build_ops(workload, 1)]
+    seen = {"zero": 0, "basis rows": 0, "other rows": 0}
+    for n, text in enumerate(dict.fromkeys(texts)):
+        path = tmp_path / f"j{n}.tri"
+        path.write_text(text, encoding="utf-8")
+        code, out = run(["jideal", "--json", str(path)])
+        assert code == 0, text
+        section = json.loads(out)
+        check_jideal(section["dim"], read_products(text), section)
+        units = [row.count("0") == len(row) - 1 for row in section["rows"]]
+        seen["zero" if not units else "basis rows" if all(units) else "other rows"] += 1
+    assert min(seen.values()) >= 30, seen
