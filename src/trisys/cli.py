@@ -14,9 +14,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache
-from itertools import chain, compress, islice
-from operator import add, ne
+from functools import cache, lru_cache
+from itertools import chain, compress, islice, repeat
+from operator import floordiv, mod, ne
 
 from .decompose import (
     DEFAULT_ORACLE_CAP,
@@ -443,57 +443,57 @@ def _write(obj, parts: list, indent: str = "\n") -> None:
     parts.append(indent + brackets[1])
 
 
+class _Table(dict):
+    """A dict that stores build(key) for each missing key it is asked for."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+@lru_cache(maxsize=8)
+def _openings(R: int, idents: tuple, indent: str):
+    """A record's opening tables at this indent, in radix R over idents: head, ab and cdf, filled per key read."""
+    inner = indent + "  "
+    key, item = inner + "  ", inner + "    "
+    sep, K = "," + item, len(idents)
+    heads = [f'{key}}}{inner}}},{inner}{{{key}"identity": {_encode_str(name)},{key}"tuple": [{item}' for name in idents]
+    tail = f'{key}],{key}"residual": {{{item}'  # from the 5-tuple's end to the residual's first pair
+    cdfs = _Table(lambda code: "{}{sep}{}{sep}{}".format(*divmod(code // R, R), code % R, sep=sep) + tail)
+    ab = _Table(lambda code: "{}{sep}{}{sep}".format(*divmod(code, R), sep=sep))
+    return _Table(lambda low: heads[low % K]), ab, _Table(lambda low: cdfs[low // K])  # one string per c, d, f
+
+
 def _write_violations(report, indent: str, parts: list) -> None:
     """Extend parts with the report's violations as _write writes a list of records at this indent.
 
-    A record, {"identity", "tuple", "residual"}, is written in one pass over
-    the cells as its opening (the identity head, the 5-tuple and the
-    residual's brace) and its (target, numerator) strings.  A record's cell
-    is (a, b, c, d)·L + f·K + identity with L = R·K, so its opening is read
-    off two digits: abcd(cell // L) and the head and tail of cell % L, each
-    string built once per value seen.  Each (target, numerator) string is
-    built once too.
+    A record, {"identity", "tuple", "residual"}, is four pieces: head[low],
+    ab[cell // Q] and cdf[low], where its keys are cell·R + target, cell =
+    ((a·R + b)·R³ + (c·R + d)·R + f)·K + identity, Q = R³·K and low = cell %
+    Q, then its body, the (target, numerator) strings of its keys.  A NUL,
+    which no pair string holds, ends each body but the last: one join, one split.
     """
     R, idents, keys, nums = report._cells
     if not keys:
         parts.append("[]")
         return
-    K = len(idents)
-    L = R * K
+    Q, inner, sep = R**3 * len(idents), indent + "  ", "," + indent + "      "
+    head, ab, cdf = (table.__getitem__ for table in _openings(R, idents, indent))
     text = cache(lambda n: rat_str(Fraction(n, report.denominator)))  # one string per numerator
-    inner = indent + "  "
-    key, item = inner + "  ", inner + "    "
-    sep, end = "," + item, f"{key}}}{inner}}}"  # end closes a record's residual and the record
-    close = end + "," + inner
-    heads = [f'{close}{{{key}"identity": {_encode_str(name)},{key}"tuple": [{item}' for name in idents]
-
-    @cache
-    def abcd(code: int) -> str:
-        q, d = divmod(code, R)
-        q, c = divmod(q, R)
-        return "{}{sep}{}{sep}{}{sep}{}".format(*divmod(q, R), c, d, sep=sep)
-
-    @cache
-    def head(low: int) -> str:  # the record's identity up to its 5-tuple
-        return heads[low % K]
-
-    @cache
-    def tail(low: int) -> str:  # f and what follows the 5-tuple up to the first pair
-        return f'{sep}{low // K}{key}],{key}"residual": {{{item}'
-
-    @cache
-    def pair(n, m: int) -> str:
-        return f'"{m}": "{text(n)}"'
-
-    cells = list(map(R.__rfloordiv__, keys))
-    starts = [True, *map(ne, cells[1:], cells)]  # a cell starts a record when its key // R is not the last key's
-    cells = list(compress(cells, starts))
-    lows = list(map(L.__rmod__, cells))
-    opens = map(add, map(add, map(head, lows), map(abcd, map(L.__rfloordiv__, cells))), map(tail, lows))
-    glue = [next(opens) if start else sep for start in starts]  # what comes before each cell's pair
-    glue[0] = "[" + inner + glue[0][len(close) :]
-    parts.extend(chain.from_iterable(zip(glue, map(pair, nums, map(R.__rmod__, keys)))))
-    parts.append(end + indent + "]")
+    pair = _Table(lambda key: f'"{key[1]}": "{text(key[0])}"' + "\0" * key[2])  # key: (numerator, target, ends)
+    # a key ends a record when the next key's cell differs; the report's last key needs no mark
+    ends = [*map(ne, map(floordiv, keys[1:], repeat(R)), map(floordiv, keys, repeat(R))), False]
+    bodies = sep.join(map(pair.__getitem__, zip(nums, map(mod, keys, repeat(R)), ends))).split("\0" + sep)
+    lasts = [*compress(keys, ends), keys[-1]]  # each record's last key
+    lows = list(map(mod, map(floordiv, lasts, repeat(R)), repeat(Q)))
+    opens = map(head, lows), map(ab, map(floordiv, lasts, repeat(Q * R))), map(cdf, lows)
+    first = len(parts)
+    parts.extend(chain.from_iterable(zip(*opens, bodies)))
+    parts[first] = "[" + parts[first].partition(",")[2]  # a head's first "," ends the close of the record before it
+    parts.append(f"{inner}  }}{inner}}}{indent}]")
 
 
 def _dumps(obj, end: str = "") -> str:

@@ -318,6 +318,16 @@ def test_minimal_command(tmp_path):
     assert "mu_violation: t1=3 pair=(1',1') t2=1" in out
 
 
+def test_minimal_oracle_cap_is_inclusive(tmp_path):
+    path = write(tmp_path, "nf3t.lts", NF3T_TEXT)
+    code, out, _ = run(["minimal", "--oracle-cap", "3", path])
+    assert code == 0
+    assert "oracle_used: yes\nverdict: not_minimal\ncounterexample_ideal: {2}\n" in out
+    code, out, _ = run(["minimal", "--oracle-cap", "2", path])
+    assert code == 0
+    assert out.endswith("oracle_used: no\nverdict: criterion_inapplicable\n")
+
+
 def test_lift_command(tmp_path):
     code, out, _ = run(["lift-leibniz", write(tmp_path, "nf3.brk", NF3_BRK_TEXT)])
     assert code == 0

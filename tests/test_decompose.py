@@ -368,6 +368,20 @@ def test_minimal_criterion_inapplicable_beyond_cap():
     assert not v.oracle_used
 
 
+def test_minimal_oracle_runs_at_dim_equal_to_cap():
+    # the cap is inclusive: dim 3 with oracle_cap=3 still gets the oracle's verdict
+    v = ts.is_minimal(split(make_nf3_lift()), oracle_cap=3)
+    assert (v.verdict, v.oracle_used, v.counterexample_ideal) == ("not_minimal", True, (2,))
+
+
+def test_minimal_criterion_counterexample_at_dim_equal_to_cap():
+    # on the mu-multiplicative path the counterexample search also runs up to and including the cap
+    S = split(block_sum(make_mutual_pair(), make_zero_system(1)))
+    assert S.sys.dim == 4
+    assert ts.is_minimal(S, oracle_cap=4).counterexample_ideal == (4,)
+    assert ts.is_minimal(S, oracle_cap=3).counterexample_ideal is None
+
+
 def test_generic_split_modes_can_disagree_outside_verified_systems():
     # Not a Leibniz triple system: the deviation ideal is still valid, the
     # basis passes the mu test, and only the restricted criterion matches the

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,67 @@ def test_violation_record_documents_match_json_dumps():
                 negative += any(c.startswith("-") for c in values)
                 fractional += any("/" in c for c in values)
     assert multi and negative and fractional
+
+
+def _two_digit_tables():
+    """Dense failing tables of dim 10-12, so tuple entries and targets reach two digits."""
+    rng = random.Random(173)
+    return [
+        random_table(rng, dim, rng.randint(dim * 4, dim * dim // 2), coeffs)
+        for dim, coeffs in ((10, COEFFS), (11, _RATIONAL), (12, COEFFS))
+    ]
+
+
+def test_two_digit_violation_records_match_json_dumps():
+    parser = cli._build_parser()
+    digits = set()
+    for n, T in enumerate(_two_digit_tables()):
+        text, path = ts.serialize_system(T), f"w{n}.lts"
+        for command, family in (("verify", "four"), ("verify", "two"), ("report", "both")):
+            args = parser.parse_args([command, "--family", family, path])
+            args.cap = DEFAULT_IDENTITY_CAP
+            _, doc = cli._HANDLERS[command](path, text, args)
+            report = doc["violations"]
+            assert not report.ok
+            assert cli._dumps(doc) == _json_dumps(doc)
+            digits.update(x for _, t, pairs in report.residuals for x in (*t, *(m for m, _ in pairs)) if x >= 10)
+    assert digits == {10, 11, 12}
+
+
+def test_each_json_over_two_digit_and_dim_3_files_is_json_dumps_of_itself(tmp_path):
+    # single documents write records at one indent and a batch at the next, over radices 11, 12 and 4
+    rng = random.Random(179)
+    tables = _two_digit_tables()[:2] + [random_table(rng, 3, 12)]
+    paths = []
+    for n, T in enumerate(tables):
+        assert not ts.check_identities(T).ok
+        path = tmp_path / f"e{n}.lts"
+        path.write_text(ts.serialize_system(T), encoding="utf-8")
+        paths.append(str(path))
+    singles = [_stdout(["report", "--json", path]) for path in paths]
+    out = _stdout(["report", "--each", "--json", *paths])
+    docs = json.loads(out)
+    assert out == json.dumps(docs, indent=2) + "\n"
+    assert docs == [json.loads(single) for single in singles] and [d["dim"] for d in docs] == [10, 11, 3]
+
+
+def test_writer_peak_memory_stays_under_twice_its_output():
+    # the writer's traced peak on the largest report here, its output included
+    parser = cli._build_parser()
+    docs = []
+    for n, T in enumerate(_two_digit_tables() + _residual_tables()):
+        path = f"m{n}.lts"
+        args = parser.parse_args(["report", path])
+        args.cap = DEFAULT_IDENTITY_CAP
+        docs.append(cli._HANDLERS["report"](path, ts.serialize_system(T), args)[1])
+    doc = max(docs, key=lambda d: len(cli._dumps(d)))
+    tracemalloc.start()
+    try:
+        written = cli._dumps(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(written) > 1_000_000 and peak < 2 * len(written), peak / len(written)
 
 
 def _random_report(rng):
