@@ -10,7 +10,6 @@ decides minimality.
 
 from .errors import (
     CapExceeded,
-    ConfinementError,
     DimensionError,
     DuplicateEntry,
     InconsistentSplit,
@@ -78,7 +77,6 @@ from .decompose import (
     MinimalityVerdict,
     MuViolation,
     check_decomposition,
-    components,
     enumerate_inherited_ideals,
     is_minimal,
     mu_multiplicativity_check,
@@ -92,10 +90,10 @@ from .fileformat import (
 )
 
 __all__ = [
-    "CapExceeded", "ConfinementError", "DimensionError", "DuplicateEntry",
-    "InconsistentSplit", "InternalError", "NotAdapted", "NotAdmissible", "NotLeibniz",
-    "NotMultiplicative", "NotReversible", "ParseError", "TheoremViolation", "TriSysError",
-    "ZeroCoefficient", "Rational", "RowSpace", "Vector", "basis_vector", "rat_parse",
+    "CapExceeded", "DimensionError", "DuplicateEntry", "InconsistentSplit",
+    "InternalError", "NotAdapted", "NotAdmissible", "NotLeibniz", "NotMultiplicative",
+    "NotReversible", "ParseError", "TheoremViolation", "TriSysError", "ZeroCoefficient",
+    "Rational", "RowSpace", "Vector", "basis_vector", "rat_parse",
     "rat_str", "rowspace_from", "span_insert",
     "BilinearTable", "IdentityReport", "TripleSystem", "check_identities", "check_leibniz",
     "construct_bilinear", "construct_system", "evaluate_product", "lift_from_leibniz",
@@ -104,7 +102,7 @@ __all__ = [
     "ConnectionWitness", "MarkedIndex", "Partition", "bar", "barred", "map_a", "map_b",
     "mu", "partition", "phi", "plain", "reachable", "reverse_connection",
     "validate_witness", "Component", "DecompositionReport", "MinimalityVerdict",
-    "MuViolation", "check_decomposition", "components", "enumerate_inherited_ideals",
-    "is_minimal", "mu_multiplicativity_check", "content_hash", "parse_leibniz",
-    "parse_system", "serialize_leibniz", "serialize_system",
+    "MuViolation", "check_decomposition", "enumerate_inherited_ideals", "is_minimal",
+    "mu_multiplicativity_check", "content_hash", "parse_leibniz", "parse_system",
+    "serialize_leibniz", "serialize_system",
 ]

@@ -58,9 +58,23 @@ _INPUT_ERRORS = (
 _CHECK_ERRORS = (NotAdapted, NotAdmissible, NotLeibniz, NotMultiplicative)
 
 
+def _int(text: str) -> int:
+    """An integer as the file format writes it: ASCII digits and an optional leading '-', else ValueError."""
+    if not _is_int(text):
+        raise ValueError(f"invalid literal for an integer: {text!r}")
+    return int(text)  # ValueError beyond int()'s digit limit
+
+
+def _int_option(text: str) -> int:
+    try:
+        return _int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _default_cap() -> int:
     env = os.environ.get("TRISYS_CAP")
-    return int(env) if env else DEFAULT_IDENTITY_CAP
+    return _int(env) if env else DEFAULT_IDENTITY_CAP
 
 
 def _fmt_set(ids) -> str:
@@ -74,10 +88,8 @@ def _fmt_bool(b: bool) -> str:
 def _parse_iset(text: str) -> tuple[int, ...]:
     if text in ("", "-"):
         return ()
-    tokens = [tok.strip() for tok in text.split(",")]
-    if all(map(_is_int, tokens)):  # the integers the file format reads
-        with contextlib.suppress(ValueError):  # more digits than int() converts
-            return tuple(sorted(map(int, tokens)))
+    with contextlib.suppress(ValueError):
+        return tuple(sorted([_int(tok.strip()) for tok in text.split(",")]))
     raise ValueError(f"expected a comma-separated index list, got {text!r}")
 
 
@@ -100,7 +112,7 @@ def _split_for(T, args, witness=None):
     generic = getattr(args, "generic", None)
     if generic is None:
         return split_system(T, witness)
-    return split_basis(T, coordinate_space(T.dim, dict.fromkeys(_parse_iset(generic))), "generic")
+    return split_basis(T, coordinate_space(T.dim, dict.fromkeys(_parse_iset(generic))))
 
 
 # --- report sections: built once per input and shared by the commands -------
@@ -369,9 +381,9 @@ _RENDERERS = {
 
 _OPTIONS = {
     "--family": dict(choices=("four", "two", "both"), default="both"),
-    "--cap": dict(type=int, default=None),
+    "--cap": dict(type=_int_option, default=None),
     "--mode": dict(choices=("literal", "restricted"), default="literal"),
-    "--oracle-cap": dict(type=int, default=DEFAULT_ORACLE_CAP),
+    "--oracle-cap": dict(type=_int_option, default=DEFAULT_ORACLE_CAP),
     "--generic": dict(metavar="ISET", default=None),
 }
 _COMMAND_OPTIONS = {

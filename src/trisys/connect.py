@@ -103,10 +103,11 @@ def map_b(S: SplitSystem, k: int, m1: MarkedIndex, m2: MarkedIndex) -> frozenset
     """Reverse product relation: which indices produce k using the barred pair.
 
     Nonempty only for barred jset pairs: s produces k when an entry with s
-    in one slot and the pair in the other two targets k.
+    in one slot and the pair in the other two targets k.  An index outside
+    1..dim is in no entry, so its pairs give the empty set too.
     """
-    in_j = S.in_j
-    if not (m1.barred and m2.barred and m1.index in in_j and m2.index in in_j):
+    in_i = S.in_i
+    if not (m1.barred and m2.barred) or m1.index in in_i or m2.index in in_i:
         return frozenset()
     r1, r2 = m1.index, m2.index
     table = S.sys.table
@@ -152,7 +153,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _memo(S: SplitSystem, key: str, build):
-    """build(S), computed once per split and kept in its __dict__ beside in_i and in_j.
+    """build(S), computed once per split and kept in its __dict__ beside in_i.
 
     The dataclass fields, and so equality, hash and repr, do not see it.
     """
@@ -172,7 +173,7 @@ def _scan_entries(S: SplitSystem) -> dict[str, set[MuStep]]:
     s -(a,b)-> m in literal mode, and in restricted mode too when a, b lie in
     jset; then also the barred step m -(a',b')-> s (map_b) in both domains.
     """
-    in_j = S.in_j
+    in_i = S.in_i
     literal: set[MuStep] = set()
     restricted: set[MuStep] = set()
     for (i, j, k), (_, m) in S.sys.table.items():
@@ -180,7 +181,7 @@ def _scan_entries(S: SplitSystem) -> dict[str, set[MuStep]]:
             if b < a:
                 a, b = b, a
             literal.add((s, False, a, b, m))
-            if a in in_j and b in in_j:
+            if a not in in_i and b not in in_i:  # the entry's indices lie in 1..dim, so outside iset is jset
                 restricted.add((s, False, a, b, m))
                 literal.add((m, True, a, b, s))
                 restricted.add((m, True, a, b, s))
@@ -257,7 +258,7 @@ def reverse_connection(S: SplitSystem, w: ConnectionWitness) -> ConnectionWitnes
         return w
     for p, q in w.pairs:
         for e in (p, q):
-            if e.index not in S.in_j:
+            if e.index in S.in_i:  # a replaying witness's pair elements lie in 1..dim
                 raise NotReversible(f"pair element {e} lies outside the jset domain")
     rest = [bar(e) for e in w.elements[:0:-1]]
     reversed_w = ConnectionWitness((plain(w.target), *rest), w.source)

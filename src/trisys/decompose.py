@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CapExceeded, ConfinementError, TheoremViolation
+from .errors import CapExceeded, TheoremViolation
 from .jideal import SplitSystem, _successor_closure, _successors
 from .connect import MarkedIndex, _entry_pass, partition
 from .system import Entry, TripleSystem
@@ -88,12 +88,8 @@ def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry])
     local = {parent: pos for pos, parent in enumerate(cls, 1)}
     local_entries = tuple([(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in entries])
     sub = TripleSystem(len(cls), local_entries, tuple([S.sys.labels[parent - 1] for parent in cls]))
-    return Component(
-        cls,
-        sub,
-        tuple([i for i in cls if i in S.in_i]),
-        tuple([i for i in cls if i in S.in_j]),
-    )
+    in_i = S.in_i
+    return Component(cls, sub, tuple([i for i in cls if i in in_i]), tuple([i for i in cls if i not in in_i]))
 
 
 def _components(S: SplitSystem, mode: str) -> tuple[list[Component], list[Entry], list[list[int]]]:
@@ -116,20 +112,6 @@ def _components(S: SplitSystem, mode: str) -> tuple[list[Component], list[Entry]
     return [_build_component(S, cls, entries) for cls, entries in zip(part.classes, buckets)], straddlers, places
 
 
-def components(S: SplitSystem, mode: str = "literal") -> list[Component]:
-    """One component per connection class, classes ordered by id.
-
-    An entry whose indices straddle classes cannot be inherited by any
-    component; in literal mode that never happens, in restricted mode it
-    raises ConfinementError carrying the violating entries and the
-    components built from the remaining ones.
-    """
-    built, straddlers, _ = _components(S, mode)
-    if straddlers:
-        raise ConfinementError(straddlers, built)
-    return built
-
-
 def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionReport:
     """Components plus the ideal, orthogonality, and coverage verdicts.
 
@@ -141,7 +123,9 @@ def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionR
     """
     comps, straddlers, places = _components(S, mode)
     if straddlers and mode == "literal":
-        raise TheoremViolation(f"literal components are not entry-closed: {ConfinementError(straddlers)}")
+        raise TheoremViolation(
+            f"literal components are not entry-closed: {len(straddlers)} table entries straddle partition classes"
+        )
     ideal_flags = [True] * len(comps)
     crossed: dict[int, set[int]] = {}  # component position -> positions sharing a straddler's factors
     for *factors, m in places:

@@ -64,17 +64,6 @@ class NotReversible(TriSysError):
     """A connection witness uses pair elements outside the reversible domain."""
 
 
-class ConfinementError(TriSysError):
-    """Some table entry straddles two partition classes."""
-
-    def __init__(self, violations, components=None):
-        super().__init__(
-            f"{len(violations)} table entries straddle partition classes"
-        )
-        self.violations = tuple(violations)
-        self.components = tuple(components) if components is not None else ()
-
-
 class TheoremViolation(TriSysError):
     """A literal-mode decomposition guarantee failed; indicates a bug."""
 

@@ -27,8 +27,6 @@ from .exactnum import (RowSpace, Sparse, Vector, coordinate_space, rowspace_from
                        span_insert)
 from .system import Key, TripleSystem
 
-MODES = ("leibniz", "generic")
-
 
 @dataclass(frozen=True)
 class IdealWitness:
@@ -43,11 +41,11 @@ class IdealWitness:
 class SplitSystem:
     """A triple system with an adapted index split, checked on construction.
 
-    iset spans the (computed or declared) ideal, jset a complement; both are
-    ascending and partition 1..dim, else InconsistentSplit.  The span of
-    iset is an ideal whose slot-2 and slot-3 products all vanish, else
-    NotAdmissible: no entry with a factor in iset targets outside it, and
-    none has slot 2 or 3 in iset.
+    iset spans the ideal (computed by split_system, declared to split_basis),
+    jset a complement; both are ascending and partition 1..dim, else
+    InconsistentSplit.  The span of iset is an ideal whose slot-2 and slot-3
+    products all vanish, else NotAdmissible: no entry with a factor in iset
+    targets outside it, and none has slot 2 or 3 in iset.
     """
 
     sys: TripleSystem
@@ -67,10 +65,6 @@ class SplitSystem:
     @cached_property
     def in_i(self) -> frozenset[int]:
         return frozenset(self.iset)
-
-    @cached_property
-    def in_j(self) -> frozenset[int]:
-        return frozenset(self.jset)
 
 
 def _ascending(t: tuple[int, ...], n: int) -> bool:
@@ -225,21 +219,16 @@ def _annihilates(T: TripleSystem, inside: set[int]) -> bool:
     return not any(j in inside or k in inside for _, j, k in T.table)
 
 
-def split_basis(T: TripleSystem, J: RowSpace, mode: str = "leibniz") -> SplitSystem:
-    """Split the basis indices along an ideal spanned by basis vectors.
+def split_basis(T: TripleSystem, J: RowSpace) -> SplitSystem:
+    """Split the basis indices along a declared ideal spanned by basis vectors.
 
-    In leibniz mode J must be the computed deviation ideal; in generic mode
-    any caller-declared ideal is accepted as long as it is an ideal and its
-    slot-2/slot-3 products vanish.  Either way the split checks both laws
-    on construction, since the downstream connection machinery relies on them.
+    Any caller-declared ideal is accepted as long as it is an ideal and its
+    slot-2/slot-3 products vanish; the split checks both laws on
+    construction, since the downstream connection machinery relies on them.
     """
     if J.dim != T.dim:
         raise DimensionError(f"subspace dimension {J.dim} does not match system dimension {T.dim}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "leibniz" and J != compute_jideal(T).subspace:
-        raise ValueError("leibniz mode requires the computed deviation ideal")
-    return _split(T, J, mode)
+    return _split(T, J, "generic")
 
 
 def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:

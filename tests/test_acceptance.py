@@ -256,7 +256,7 @@ def test_c5_minimality_criterion_equals_oracle(verified_corpus):
             assert criterion == oracle, (T.entries, mode)
             assert (verdict.verdict == "minimal") == oracle
         # the final decomposition: every component re-verifies
-        for comp in ts.components(S, "literal"):
+        for comp in ts.check_decomposition(S).components:
             sub = ts.split_system(comp.subsystem)
             assert ts.mu_multiplicativity_check(sub)[0]
             assert ts.is_minimal(sub).verdict == "minimal"

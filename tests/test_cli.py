@@ -408,6 +408,23 @@ def test_bad_cap_env_is_usage_error(tmp_path, monkeypatch):
         assert err == "error: TRISYS_CAP must be an integer, got 'abc'\n"
 
 
+def test_integer_options_read_ascii_digits_only(tmp_path, monkeypatch):
+    # int() alone also reads other decimal digits, '_', '+' and surrounding spaces; files refuse them
+    path = write(tmp_path, "a.lts", JA_TEXT)
+    odd = ("+12", " 12", "12 ")
+    if hasattr(sys, "get_int_max_str_digits"):  # beyond int()'s digit limit
+        odd += ("9" * (sys.get_int_max_str_digits() + 1),)
+    for command, flag in (("verify", "--cap"), ("minimal", "--oracle-cap")):
+        for value in _FLAG_VALUES[flag][1] + odd:
+            code, out, err = run([command, f"{flag}={value}", path])
+            assert (code, out) == (2, ""), value
+            assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n"), value
+        assert run([command, f"{flag}=12", path])[0] == 0
+    for value in ("\u0661\u0662", "1_2") + odd:
+        monkeypatch.setenv("TRISYS_CAP", value)
+        assert run(["verify", path]) == (2, "", f"error: TRISYS_CAP must be an integer, got {value!r}\n"), value
+
+
 def test_json_output_roundtrip(tmp_path):
     path = write(tmp_path, "nf3t.lts", NF3T_TEXT)
     code, out, _ = run(["decompose", "--json", path])
@@ -455,9 +472,9 @@ def test_console_entry_point(tmp_path):
 # each flag's values, good ones first: (good, bad)
 _FLAG_VALUES = {
     "--family": (("four", "two", "both"), ("three", "")),
-    "--cap": (("2", "12", "-1"), ("x", "")),
+    "--cap": (("2", "12", "-1"), ("x", "", "\u0661\u0662", "1_2")),
     "--mode": (("literal", "restricted"), ("lit", "")),
-    "--oracle-cap": (("0", "5"), ("1.5",)),
+    "--oracle-cap": (("0", "5"), ("1.5", "\u0661\u0662", "1_2")),
     "--generic": (("1", "2,1", "", "-", "9"), ("x",)),
 }
 _BARE_TOKENS = (

@@ -99,6 +99,15 @@ def test_map_b_mixed_marks_empty(ja_split):
     assert ts.map_b(ja_split, 2, barred(1), plain(1)) == frozenset()
 
 
+def test_map_b_out_of_range_barred_index_empty(ja_split, nf3_split):
+    # an index outside 1..dim is in neither iset nor jset, and no entry holds it
+    for S in (ja_split, nf3_split):
+        for k in range(1, S.sys.dim + 1):
+            for r in (0, -1, S.sys.dim + 1, 7):
+                assert ts.map_b(S, k, barred(r), barred(1)) == ts.map_b(S, k, barred(1), barred(r)) == frozenset()
+                assert ts.mu(S, k, barred(r), barred(r)) == frozenset()
+
+
 def test_mu_examples(ja_split, nf3_split):
     assert ts.mu(ja_split, 1, plain(2), plain(1)) == {2}
     assert ts.mu(nf3_split, 3, barred(1), barred(1)) == {1}

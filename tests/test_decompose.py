@@ -33,7 +33,7 @@ def split(T):
 
 
 def test_components_nf3():
-    comps = ts.components(split(make_nf3_lift()))
+    comps = ts.check_decomposition(split(make_nf3_lift())).components
     assert [c.indices for c in comps] == [(1, 3), (2,)]
     first, second = comps
     assert first.subsystem.table == {(1, 1, 1): (F(1), 2)}
@@ -45,14 +45,14 @@ def test_components_nf3():
 
 
 def test_components_jacobson_whole():
-    comps = ts.components(split(make_jacobson_a()))
+    comps = ts.check_decomposition(split(make_jacobson_a())).components
     assert len(comps) == 1
     assert comps[0].indices == (1, 2)
     assert comps[0].subsystem.table == make_jacobson_a().table
 
 
 def test_components_zero_table():
-    comps = ts.components(split(make_zero_system(3)))
+    comps = ts.check_decomposition(split(make_zero_system(3))).components
     assert [c.indices for c in comps] == [(1,), (2,), (3,)]
     assert all(not c.subsystem.entries for c in comps)
 
@@ -62,14 +62,14 @@ def test_components_confinement_violation_restricted():
     # restricted mode the entry straddles the three singleton classes
     T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
     space = ts.rowspace_from(3, [ts.basis_vector(3, 3)])
-    S = ts.split_basis(T, space, "generic")
+    S = ts.split_basis(T, space)
     assert ts.partition(S, "restricted").classes == ((1,), (2,), (3,))
-    with pytest.raises(ts.ConfinementError) as exc:
-        ts.components(S, "restricted")
-    assert exc.value.violations == ((3, 1, 2, F(1), 3),)
-    assert [c.indices for c in exc.value.components] == [(1,), (2,), (3,)]
+    report = ts.check_decomposition(S, "restricted")
+    assert not report.ok
+    assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
+    assert [c.indices for c in report.components] == [(1,), (2,), (3,)]
     # literal mode keeps the entry inside one class
-    assert [c.indices for c in ts.components(S, "literal")] == [(1, 2, 3)]
+    assert [c.indices for c in ts.check_decomposition(S, "literal").components] == [(1, 2, 3)]
 
 
 def _labelled(T, rng):
@@ -85,12 +85,9 @@ def test_components_equal_construct_system_of_their_entries():
     built = confined = 0
     for S in splits:
         for mode in ("literal", "restricted"):
-            try:
-                comps = ts.components(S, mode)
-            except ts.ConfinementError as err:
-                comps = list(err.components)
-                confined += 1
-            for comp in comps:
+            report = ts.check_decomposition(S, mode)
+            confined += bool(report.confinement_violations)
+            for comp in report.components:
                 local = {parent: pos for pos, parent in enumerate(comp.indices, 1)}
                 entries = [
                     (local[i], local[j], local[k], c, local[m])
@@ -108,20 +105,20 @@ def test_components_equal_construct_system_of_their_entries():
 
 def test_orthogonal_nf3_components():
     S = split(make_nf3_lift())
-    c1, c2 = ts.components(S)
+    c1, c2 = ts.check_decomposition(S).components
     assert check_orthogonal(S, c1, c2)
 
 
 def test_orthogonal_block_sum():
     S = split(block_sum(make_jacobson_a(), make_jacobson_a()))
-    c1, c2 = ts.components(S)
+    c1, c2 = ts.check_decomposition(S).components
     assert c1.indices == (1, 2) and c2.indices == (3, 4)
     assert check_orthogonal(S, c1, c2)
 
 
 def test_orthogonal_detects_mixing_entry():
     T = ts.construct_system(3, [(1, 1, 1, 1, 2), (1, 3, 3, 1, 1)])
-    S = ts.split_basis(T, ts.RowSpace(3), "generic")
+    S = ts.split_basis(T, ts.RowSpace(3))
     zero1 = ts.construct_system(2, [])
     zero2 = ts.construct_system(1, [])
     c1 = ts.Component((1, 2), zero1, (), (1, 2))
@@ -155,7 +152,7 @@ def test_decomposition_block_sum():
 
 def test_decomposition_restricted_reports_violations():
     T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
-    S = ts.split_basis(T, ts.rowspace_from(3, [ts.basis_vector(3, 3)]), "generic")
+    S = ts.split_basis(T, ts.rowspace_from(3, [ts.basis_vector(3, 3)]))
     report = ts.check_decomposition(S, "restricted")
     assert not report.ok
     assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
@@ -409,7 +406,7 @@ def test_component_jideal_matches_iset_part():
     corpus += random_verified_corpus(61, 25, max_dim=6)
     for T in corpus:
         S = ts.split_system(T)
-        for comp in ts.components(S):
+        for comp in ts.check_decomposition(S).components:
             local = ts.compute_jideal(comp.subsystem).subspace
             expected = {comp.indices.index(i) + 1 for i in comp.iset_part}
             assert local.basis_indices() is not None
@@ -421,7 +418,7 @@ def test_components_of_mu_multiplicative_systems_are_minimal():
         S = ts.split_system(T)
         if not ts.mu_multiplicativity_check(S)[0]:
             continue
-        for comp in ts.components(S):
+        for comp in ts.check_decomposition(S).components:
             sub = ts.split_system(comp.subsystem)
             assert ts.mu_multiplicativity_check(sub)[0]
             assert ts.is_minimal(sub).verdict == "minimal"

@@ -237,20 +237,16 @@ def test_split_not_adapted():
     T = make_unadapted()
     w = ts.compute_jideal(T)
     assert w.subspace.rows == ((F(1), F(1), F(0), F(0)),)
-    with pytest.raises(ts.NotAdapted) as exc:
-        ts.split_basis(T, w.subspace, "leibniz")
-    assert exc.value.row == (F(1), F(1), F(0), F(0))
-
-
-def test_split_leibniz_mode_requires_computed_ideal():
-    T = make_nf3_lift()
-    with pytest.raises(ValueError):
-        ts.split_basis(T, span_of(3, 2), "leibniz")
+    # the deviation ideal and the same ideal declared are refused alike
+    for make_split in (ts.split_system, lambda T: ts.split_basis(T, w.subspace)):
+        with pytest.raises(ts.NotAdapted) as exc:
+            make_split(T)
+        assert exc.value.row == (F(1), F(1), F(0), F(0))
 
 
 def test_split_generic_accepts_declared_ideal():
     T = make_nf3_lift()
-    S = ts.split_basis(T, span_of(3, 2, 3), "generic")
+    S = ts.split_basis(T, span_of(3, 2, 3))
     assert S.iset == (2, 3)
     assert S.mode == "generic"
 
@@ -258,19 +254,14 @@ def test_split_generic_accepts_declared_ideal():
 def test_split_generic_rejects_non_ideal():
     T = make_nf3_lift()
     with pytest.raises(ts.NotAdmissible):
-        ts.split_basis(T, span_of(3, 1), "generic")
+        ts.split_basis(T, span_of(3, 1))
 
 
 def test_split_generic_rejects_annihilation_failure():
     # span{e1} is an ideal of {u1,u1,u1}=u1 but occupies slots 2 and 3
     T = ts.construct_system(2, [(1, 1, 1, 1, 1)])
     with pytest.raises(ts.NotAdmissible):
-        ts.split_basis(T, span_of(2, 1), "generic")
-
-
-def test_split_mode_validation():
-    with pytest.raises(ValueError):
-        ts.split_basis(make_jacobson_a(), ts.RowSpace(2), "other")
+        ts.split_basis(T, span_of(2, 1))
 
 
 def test_random_split_corpus_valid():
@@ -316,7 +307,7 @@ def test_split_checks_partition_ideal_and_annihilation_on_construction():
             if want is None or want[0] is ts.NotAdmissible:
                 # split_basis builds the same split from the span of iset, or refuses it with the same message
                 try:
-                    got = ts.split_basis(T, span_of(T.dim, *iset), "generic")
+                    got = ts.split_basis(T, span_of(T.dim, *iset))
                 except ts.NotAdmissible as err:
                     got = str(err)
                 assert got == (S if want is None else want[1]), (T, iset, jset)
