@@ -66,6 +66,7 @@ def _int(text: str) -> int:
 
 
 def _int_option(text: str) -> int:
+    """_int for argparse, refusing with the message that type=int gives."""
     try:
         return _int(text)
     except ValueError:
