@@ -35,7 +35,8 @@ from .errors import (
     ZeroCoefficient,
 )
 from .exactnum import coordinate_space, rat_str
-from .fileformat import _is_int, content_hash, parse_leibniz, parse_system, serialize_leibniz, serialize_system
+from .fileformat import _is_int, _parsed_hash, content_hash, parse_leibniz, parse_system
+from .fileformat import serialize_leibniz, serialize_system
 from .connect import partition
 from .jideal import check_annihilation, compute_jideal, split_basis, split_system
 from .system import DEFAULT_IDENTITY_CAP, IdentityReport, check_identities, lift_from_leibniz
@@ -99,14 +100,10 @@ def _entry_doc(entry) -> list:
     return [i, j, k, rat_str(c), m]
 
 
-def _header(command: str, name: str, T) -> dict:
-    return {
-        "command": command,
-        "file": name,
-        "hash": content_hash(serialize_system(T)),
-        "dim": T.dim,
-        "entries": len(T.entries),
-    }
+def _parsed(command: str, name: str, text: str):
+    """The file's system and its document header."""
+    T = parse_system(text)
+    return T, {"command": command, "file": name, "hash": _parsed_hash(text, T), "dim": T.dim, "entries": len(T.entries)}
 
 
 def _split_for(T, args, witness=None):
@@ -193,32 +190,32 @@ def _minimal_section(S, args) -> dict:
 
 
 def _cmd_verify(name: str, text: str, args) -> tuple[int, dict]:
-    T = parse_system(text)
+    T, header = _parsed("verify", name, text)
     code, section = _verify_section(T, args)
-    return code, {**_header("verify", name, T), **section}
+    return code, {**header, **section}
 
 
 def _cmd_jideal(name: str, text: str, args) -> tuple[int, dict]:
-    T = parse_system(text)
-    return 0, {**_header("jideal", name, T), **_jideal_section(T, compute_jideal(T))}
+    T, header = _parsed("jideal", name, text)
+    return 0, {**header, **_jideal_section(T, compute_jideal(T))}
 
 
 def _cmd_split(name: str, text: str, args) -> tuple[int, dict]:
-    T = parse_system(text)
-    return 0, {**_header("split", name, T), **_split_section(_split_for(T, args))}
+    T, header = _parsed("split", name, text)
+    return 0, {**header, **_split_section(_split_for(T, args))}
 
 
 def _cmd_decompose(name: str, text: str, args) -> tuple[int, dict]:
-    T = parse_system(text)
+    T, header = _parsed("decompose", name, text)
     S = _split_for(T, args)
     code, section = _decompose_section(S, args)
-    return code, {**_header("decompose", name, T), "mode": args.mode, "split_mode": S.mode, **section}
+    return code, {**header, "mode": args.mode, "split_mode": S.mode, **section}
 
 
 def _cmd_minimal(name: str, text: str, args) -> tuple[int, dict]:
-    T = parse_system(text)
+    T, header = _parsed("minimal", name, text)
     S = _split_for(T, args)
-    return 0, {**_header("minimal", name, T), "mode": args.mode, **_minimal_section(S, args)}
+    return 0, {**header, "mode": args.mode, **_minimal_section(S, args)}
 
 
 def _cmd_lift(name: str, text: str, args) -> tuple[int, dict]:
@@ -237,9 +234,9 @@ def _cmd_lift(name: str, text: str, args) -> tuple[int, dict]:
 
 def _cmd_report(name: str, text: str, args) -> tuple[int, dict]:
     """The whole pipeline on one parse, one deviation ideal and one split."""
-    T = parse_system(text)
+    T, header = _parsed("report", name, text)
     code, section = _verify_section(T, args)
-    doc = {**_header("report", name, T), **section}
+    doc = {**header, **section}
     witness = compute_jideal(T)
     doc["jideal"] = _jideal_section(T, witness)
     try:
@@ -416,6 +413,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The Namespace that argparse builds for `COMMAND [--each|--json|--OPT=VALUE|--OPT VALUE]... FILE...`, or None.
+
+    Options are the command's own, spelled in full, with values argparse
+    takes that do not start with '-'.  Anything else (help, errors,
+    abbreviations, '--', an option after a file) is left to argparse.
+    """
+    flags = _COMMAND_OPTIONS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = {"command": argv[0], "each": False, "json": False}
+    values.update((flag[2:].replace("-", "_"), _OPTIONS[flag]["default"]) for flag in flags)
+    i = 1
+    while i < len(argv) and argv[i][:1] == "-":
+        flag, eq, value = argv[i].partition("=")
+        i += 1
+        if flag in ("--each", "--json") and not eq:
+            values[flag[2:]] = True
+            continue
+        if flag not in flags or (not eq and i == len(argv)):
+            return None
+        if not eq:
+            value, i = argv[i], i + 1
+        spec = _OPTIONS[flag]
+        if value[:1] == "-" or value not in spec.get("choices", (value,)):
+            return None
+        try:
+            values[flag[2:].replace("-", "_")] = spec.get("type", str)(value)
+        except argparse.ArgumentTypeError:
+            return None
+    files = argv[i:]
+    if not files or any(f[:1] == "-" for f in files):
+        return None
+    return argparse.Namespace(files=files, **values)
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -521,12 +554,14 @@ def run_command(argv, out=None, err=None) -> int:
     """Run one command; returns the exit code without calling sys.exit."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-            args = _build_parser().parse_args(argv)
-    except SystemExit as stop:
-        return stop.code if isinstance(stop.code, int) else USAGE_ERROR
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:  # argparse prints help and usage errors to the process's streams
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                args = _build_parser().parse_args(argv)
+        except SystemExit as stop:
+            return stop.code if isinstance(stop.code, int) else USAGE_ERROR
     if hasattr(args, "cap") and args.cap is None:
         try:
             args.cap = _default_cap()

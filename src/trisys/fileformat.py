@@ -9,12 +9,17 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored):
 
 Coefficients C are rationals written "p" or "p/q" with q > 0.  The
 serializers emit a canonical form (entries sorted by key), so
-parse(serialize(x)) round-trips byte for byte.
+parse(serialize(x)) round-trips byte for byte, and a canonical system file
+is parsed in one regex pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
+from functools import lru_cache
+from itertools import chain
+from operator import lt
 
 from .errors import ParseError
 from .exactnum import rat_parse, rat_str
@@ -23,6 +28,13 @@ from .system import (
     TripleSystem,
     construct_bilinear,
     construct_system,
+)
+
+# serialize_system's lines: positive integers have no leading zero, coefficients are nonzero
+_POSITIVE = "([1-9][0-9]*)"
+_DIM_LINE = re.compile(rf"dim {_POSITIVE}\n")
+_PROD_LINE = re.compile(
+    rf"^prod {_POSITIVE} {_POSITIVE} {_POSITIVE} = (-?[1-9][0-9]*(?:/[1-9][0-9]*)?) \* {_POSITIVE}$", re.M
 )
 
 
@@ -53,7 +65,10 @@ def _is_int(token: str) -> bool:
 def _parse_int(token: str, lineno: int, line: str, pos: int) -> int:
     if not _is_int(token):
         raise ParseError(f"expected an integer, got {token!r}", lineno, _column_of(line, pos))
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # beyond int()'s digit limit
+        raise ParseError(f"integer of {len(token)} digits is too long", lineno, _column_of(line, pos)) from None
 
 
 def _parse_coeff(token: str, lineno: int, line: str, pos: int):
@@ -109,10 +124,45 @@ def _parse_body(text: str, kind: str):
     return dim, entries, labels or None
 
 
+@lru_cache(maxsize=1)  # _parsed_hash asks again for the text that parse_system was just given
+def _canonical_system(text: str) -> TripleSystem | None:
+    """The system of a file that is exactly serialize_system's output, from one regex pass; None for any other text.
+
+    That output is a 'dim N' line and entry lines only, with single spaces,
+    integers without leading zeros, nonzero rat_str coefficients, strictly
+    ascending keys, indices at most N and a final newline.  Declining is
+    always safe: parse_system then takes the general path.
+    """
+    head = _DIM_LINE.match(text)
+    if head is None or text[-1] != "\n":
+        return None
+    rows = _PROD_LINE.findall(text, head.end())
+    if len(rows) != text.count("\n", head.end()):  # some line is not a canonical entry
+        return None
+    n = len(rows)
+    I, J, K, C, M = list(zip(*rows)) or [()] * 5
+    try:
+        dim, *ints = map(int, chain((head[1],), I, J, K, M))
+        coeffs = {c: rat_parse(c) for c in set(C)}  # one Fraction per distinct token
+    except ValueError:  # beyond int()'s digit limit
+        return None
+    ijk = ints[:n], ints[n : 2 * n], ints[2 * n : 3 * n]
+    keys = list(zip(*ijk))
+    if max(ints, default=0) > dim or not all(map(lt, keys, keys[1:])):
+        return None
+    if any(rat_str(f) != c for c, f in coeffs.items()):  # '2/4' or '3/1'
+        return None
+    entries = list(zip(*ijk, map(coeffs.__getitem__, C), ints[3 * n :]))  # a tuple at its exact size: see exactnum
+    return TripleSystem(dim, tuple(entries), (None,) * dim)
+
+
 def parse_system(text: str) -> TripleSystem:
     """Parse a triple-system file; construction errors are forwarded."""
-    dim, entries, labels = _parse_body(text, "prod")
-    return construct_system(dim, entries, labels=labels)
+    T = _canonical_system(text)
+    if T is None:
+        dim, entries, labels = _parse_body(text, "prod")
+        T = construct_system(dim, entries, labels=labels)
+    return T
 
 
 def parse_leibniz(text: str) -> BilinearTable:
@@ -146,3 +196,15 @@ def serialize_leibniz(L: BilinearTable) -> str:
 def content_hash(canonical_text: str) -> str:
     """Short provenance hash of the canonical serialization."""
     return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()[:12]
+
+
+def _parsed_hash(text: str, T: TripleSystem) -> str:
+    """content_hash(serialize_system(T)) for T = parse_system(text), asked right after that call.
+
+    A text that parse_system took in one pass is that serialization, so it is
+    hashed as read; asking _canonical_system again reads the memo of that
+    call.  Clearing the memo then keeps the next parse of an equal text its own.
+    """
+    canonical = _canonical_system(text) is not None
+    _canonical_system.cache_clear()
+    return content_hash(text if canonical else serialize_system(T))

@@ -537,7 +537,8 @@ def _kind(code, out, err):
 
 
 def test_every_argv_gives_the_bytes_of_the_full_parser(tmp_path, monkeypatch):
-    # the parser shared across calls keeps no state between them: a fresh one per call prints alike
+    # neither the plain-argv path nor the parser shared across calls changes a byte:
+    # argparse alone, with a fresh parser per call, prints alike
     files = [
         write(tmp_path, name, text)
         for name, text in (
@@ -548,12 +549,34 @@ def test_every_argv_gives_the_bytes_of_the_full_parser(tmp_path, monkeypatch):
     argvs = _argv_corpus(random.Random(71), files, 2500)
     shared = [run(argv) for argv in argvs]
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
     for argv, got in zip(argvs, shared):
         assert got == run(argv), argv
     kinds = [_kind(*result) for result in shared]
     counts = {kind: kinds.count(kind) for kind in ("help", "usage error", "input error", "run")}
     assert min(counts.values()) >= 100, counts
     assert {code for code, _, _ in shared} == {0, 1, 2}
+
+
+def test_plain_argv_give_the_namespace_of_the_full_parser_or_go_to_it():
+    files = ["ja.lts", "nf3t.lts", "bad.lts", "nf3.brk", "syntax.lts", "absent.lts"]
+    parser = cli._build_parser()
+    taken = 0
+    for argv in _argv_corpus(random.Random(71), files, 2500):
+        args = cli._plain_args(argv)
+        if args is not None:
+            taken += 1
+            assert args == parser.parse_args(argv), argv
+    assert taken > 800
+    # the benchmark's four shapes, and argv that only the full parser reads
+    for argv in (["report", "f"], ["decompose", "f"], ["minimal", "--generic=1,2", "f"], ["report", "--json", "f"]):
+        assert cli._plain_args(argv) == parser.parse_args(argv), argv
+    for argv in (
+        [], ["-h"], ["report"], ["report", "-h"], ["report", "--", "f"], ["report", "--js", "f"], ["report", "f", "--json"],
+        ["report", "--json=1", "f"], ["report", "--cap", "-1", "f"], ["report", "--cap", "x", "f"], ["report", "--cap"],
+        ["verify", "--generic", "1", "f"], ["split", "--generic", "-", "f"], ["rep", "f"], ["--json", "report", "f"],
+    ):
+        assert cli._plain_args(argv) is None, argv
 
 
 def test_run_command_reads_sys_argv_by_default(tmp_path, monkeypatch):
@@ -573,10 +596,12 @@ def test_parser_is_built_once(tmp_path, monkeypatch):
     cli._build_parser.cache_clear()
     path = write(tmp_path, "ja.lts", JA_TEXT)
     assert run(["report", path])[0] == 0
+    assert added == []  # plain argv are read without the parser
+    assert run(["report", "--", path])[0] == 0
     assert added == list(cli._COMMAND_OPTIONS)
     added.clear()
-    assert run(["verify", path])[0] == 0
-    monkeypatch.setattr(sys, "argv", ["trisys", "report", path])
+    assert run(["verify", "--", path])[0] == 0
+    monkeypatch.setattr(sys, "argv", ["trisys", "report", "--", path])
     assert run(None)[0] == 0
     assert added == []
 

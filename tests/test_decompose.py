@@ -57,21 +57,6 @@ def test_components_zero_table():
     assert all(not c.subsystem.entries for c in comps)
 
 
-def test_components_confinement_violation_restricted():
-    # {e3,u1,u2}=e3 keeps span{e3} an admissible declared ideal, yet in
-    # restricted mode the entry straddles the three singleton classes
-    T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
-    space = ts.rowspace_from(3, [ts.basis_vector(3, 3)])
-    S = ts.split_basis(T, space)
-    assert ts.partition(S, "restricted").classes == ((1,), (2,), (3,))
-    report = ts.check_decomposition(S, "restricted")
-    assert not report.ok
-    assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
-    assert [c.indices for c in report.components] == [(1,), (2,), (3,)]
-    # literal mode keeps the entry inside one class
-    assert [c.indices for c in ts.check_decomposition(S, "literal").components] == [(1, 2, 3)]
-
-
 def _labelled(T, rng):
     labels = {i: f"b{i}" for i in range(1, T.dim + 1) if rng.random() < 0.5}
     return ts.construct_system(T.dim, T.entries, labels=labels)
@@ -151,13 +136,19 @@ def test_decomposition_block_sum():
 
 
 def test_decomposition_restricted_reports_violations():
+    # {e3,u1,u2}=e3 keeps span{e3} an admissible declared ideal, yet in
+    # restricted mode the entry straddles the three singleton classes
     T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
     S = ts.split_basis(T, ts.rowspace_from(3, [ts.basis_vector(3, 3)]))
+    assert ts.partition(S, "restricted").classes == ((1,), (2,), (3,))
     report = ts.check_decomposition(S, "restricted")
     assert not report.ok
     assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
+    assert [c.indices for c in report.components] == [(1,), (2,), (3,)]
     # span{e1} is not an ideal here, so at least one flag must be false
     assert not all(report.ideal_flags)
+    # literal mode keeps the entry inside one class
+    assert [c.indices for c in ts.check_decomposition(S, "literal").components] == [(1, 2, 3)]
 
 
 def test_decomposition_deterministic():

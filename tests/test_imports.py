@@ -1,10 +1,10 @@
 """Every module of the package uses each name it imports, and each name it defines is read or exported.
 
 The package's __init__ imports names to re-export them, so it is exempt.
-The checks read the source with ast only: a name counts as used when it
-appears as a name anywhere in the module, annotations included, and a
-module-level name counts as read when some package module imports it by
-name or loads it where no local of the same name hides it.
+The checks read the source with ast only: a top-level import counts as used
+when the module loads its name where no local of the same name hides it,
+annotations included, and a module-level name counts as read when some
+package module imports it by name or loads it so.
 """
 
 import ast
@@ -18,18 +18,28 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trisys"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def imported_names(nodes) -> set[str]:
+    """The names that the import statements among nodes bind, __future__ imports aside."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in nodes
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+
+
 def unused_imports(source: str) -> list[str]:
-    """The names the module's import statements bind and the module never reads, sorted."""
+    """The names the module's import statements bind and the module never reads, sorted.
+
+    A top-level import is read only by a load that reaches the module-level
+    name: a store, or a load hidden by a parameter or local of the same name,
+    reads no import.  An import inside a function is read by any name.
+    """
     tree = ast.parse(source)
-    bound = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(bound - used)
+    top = imported_names(tree.body)
+    nested = imported_names(ast.walk(tree)) - top
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((top - module_loads(tree)) | (nested - names))
 
 
 def test_the_check_sees_unused_and_used_imports():
@@ -43,6 +53,11 @@ def test_the_check_sees_unused_and_used_imports():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == ["TriSysError", "defaultdict", "js"]
+    # a store, or a parameter of the same name, does not use the import
+    assert unused_imports("from x import foo\nfoo = 1\n") == ["foo"]
+    assert unused_imports("from x import foo\ndef f(foo): return foo\n") == ["foo"]
+    assert unused_imports("from x import foo\ndef f(bar): return foo(bar)\n") == []
+    assert unused_imports("def f():\n    import json, re\n    return json\n") == ["re"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -102,6 +117,17 @@ def names_read(source: str) -> set[str]:
     """
     tree = ast.parse(source)
     modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.module for a in n.names}
+    read = module_loads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def module_loads(tree: ast.AST) -> set[str]:
+    """The names the tree loads where no enclosing function, lambda or comprehension binds them."""
     read = set()
     stack = [(tree, frozenset())]
     while stack:
@@ -110,10 +136,6 @@ def names_read(source: str) -> set[str]:
             local = local | local_names(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
             read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
-            read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            read.update(alias.name for alias in node.names)
         stack.extend((child, local) for child in ast.iter_child_nodes(node))
     return read
 
