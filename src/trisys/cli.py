@@ -416,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _plain_args(argv) -> argparse.Namespace | None:
     """The Namespace that argparse builds for `COMMAND [--each|--json|--OPT=VALUE|--OPT VALUE]... FILE...`, or None.
 
-    Options are the command's own, spelled in full, with values argparse
-    takes that do not start with '-'.  Anything else (help, errors,
+    Options are the command's own, spelled in full, with nonempty values
+    argparse takes that do not start with '-'.  Anything else (help, errors,
     abbreviations, '--', an option after a file) is left to argparse.
     """
     flags = _COMMAND_OPTIONS.get(argv[0]) if argv else None
@@ -437,7 +437,7 @@ def _plain_args(argv) -> argparse.Namespace | None:
         if not eq:
             value, i = argv[i], i + 1
         spec = _OPTIONS[flag]
-        if value[:1] == "-" or value not in spec.get("choices", (value,)):
+        if value[:1] in ("", "-") or value not in spec.get("choices", (value,)):
             return None
         try:
             values[flag[2:].replace("-", "_")] = spec.get("type", str)(value)

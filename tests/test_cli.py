@@ -574,7 +574,8 @@ def test_plain_argv_give_the_namespace_of_the_full_parser_or_go_to_it():
     for argv in (
         [], ["-h"], ["report"], ["report", "-h"], ["report", "--", "f"], ["report", "--js", "f"], ["report", "f", "--json"],
         ["report", "--json=1", "f"], ["report", "--cap", "-1", "f"], ["report", "--cap", "x", "f"], ["report", "--cap"],
-        ["verify", "--generic", "1", "f"], ["split", "--generic", "-", "f"], ["rep", "f"], ["--json", "report", "f"],
+        ["verify", "--generic", "1", "f"], ["split", "--generic", "-", "f"], ["split", "--generic=", "f"], ["rep", "f"],
+        ["--json", "report", "f"],
     ):
         assert cli._plain_args(argv) is None, argv
 
