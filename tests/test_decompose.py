@@ -135,20 +135,29 @@ def test_decomposition_block_sum():
     assert report.ok
 
 
-def test_decomposition_restricted_reports_violations():
+def test_components_confinement_violation_restricted():
     # {e3,u1,u2}=e3 keeps span{e3} an admissible declared ideal, yet in
     # restricted mode the entry straddles the three singleton classes
     T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
     S = ts.split_basis(T, ts.rowspace_from(3, [ts.basis_vector(3, 3)]))
     assert ts.partition(S, "restricted").classes == ((1,), (2,), (3,))
     report = ts.check_decomposition(S, "restricted")
-    assert not report.ok
     assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
     assert [c.indices for c in report.components] == [(1,), (2,), (3,)]
+    # literal mode keeps the entry inside one class
+    literal = ts.check_decomposition(S, "literal")
+    assert literal.confinement_violations == ()
+    assert [c.indices for c in literal.components] == [(1, 2, 3)]
+
+
+def test_decomposition_restricted_reports_violations():
+    T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
+    S = ts.split_basis(T, ts.rowspace_from(3, [ts.basis_vector(3, 3)]))
+    report = ts.check_decomposition(S, "restricted")
+    assert not report.ok
+    assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
     # span{e1} is not an ideal here, so at least one flag must be false
     assert not all(report.ideal_flags)
-    # literal mode keeps the entry inside one class
-    assert [c.indices for c in ts.check_decomposition(S, "literal").components] == [(1, 2, 3)]
 
 
 def test_decomposition_deterministic():
