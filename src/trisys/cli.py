@@ -450,43 +450,7 @@ def _plain_args(argv) -> argparse.Namespace | None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-def _write(obj, parts: list, indent: str = "\n") -> None:
-    """Append json.dumps(obj, indent=2) to parts, for str-keyed dicts, lists, tuples and scalars.
-
-    json.dumps with an indent runs the pure-Python encoder (Python 3.10 and
-    3.11); this writer encodes strings in C and writes each str or int item
-    with its key and separator as one piece.  Nothing is joined until the
-    caller joins parts once, so no piece is copied on its way out.
-    """
-    if type(obj) is IdentityReport:
-        _write_violations(obj, indent, parts)
-        return
-    if isinstance(obj, dict):
-        items, brackets = [(_encode_str(k) + ": ", v) for k, v in obj.items()], "{}"
-    elif isinstance(obj, (list, tuple)):
-        items, brackets = [("", v) for v in obj], "[]"
-    elif isinstance(obj, (str, int, type(None))):  # bool is an int
-        parts.append(json.dumps(obj))
-        return
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not items:
-        parts.append(brackets)
-        return
-    inner = indent + "  "
-    before = brackets[0] + inner
-    for key, v in items:
-        if type(v) is str:
-            parts.append(before + key + _encode_str(v))
-        elif type(v) is int:
-            parts.append(before + key + repr(v))
-        else:
-            parts.append(before + key)
-            _write(v, parts, inner)
-        before = "," + inner
-    parts.append(indent + brackets[1])
+_MARK = _encode_str("\0")  # how json.dumps writes a report, before its records replace it
 
 
 class _Table(dict):
@@ -514,7 +478,7 @@ def _openings(R: int, idents: tuple, indent: str):
 
 
 def _write_violations(report, indent: str, parts: list) -> None:
-    """Extend parts with the report's violations as _write writes a list of records at this indent.
+    """Extend parts with the report's violations as json.dumps(indent=2) writes a list of records at this indent.
 
     A record, {"identity", "tuple", "residual"}, is four pieces: head[low],
     ab[cell // Q] and cdf[low], where its keys are cell·R + target, cell =
@@ -543,10 +507,33 @@ def _write_violations(report, indent: str, parts: list) -> None:
 
 
 def _dumps(obj, end: str = "") -> str:
-    """json.dumps(obj, indent=2) byte for byte, then end: what _write appends, joined once."""
+    """json.dumps(obj, indent=2) with each IdentityReport in it written as its violation records, then end.
+
+    json.dumps writes each report as the string "\\0"; the text is split at
+    those marks and each report's records go in its place, at the indent of
+    the mark's line.  A document with a report that also holds the string
+    "\\0" is refused, not written wrong.
+    """
+    reports = []
+
+    def mark(value):
+        if type(value) is not IdentityReport:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        reports.append(value)
+        return "\0"
+
+    text = json.dumps(obj, indent=2, default=mark)
+    if not reports:
+        return text + end
+    pieces = text.split(_MARK)
+    if len(pieces) != len(reports) + 1:
+        raise ValueError('a document with an identity report cannot also hold the string "\\0"')
     parts: list[str] = []
-    _write(obj, parts)
-    parts.append(end)
+    for before, report in zip(pieces, reports):
+        line = before.rpartition("\n")[2]
+        parts.append(before)
+        _write_violations(report, "\n" + line[: len(line) - len(line.lstrip())], parts)
+    parts += pieces[-1], end
     return "".join(parts)
 
 

@@ -22,7 +22,7 @@ from itertools import chain
 from operator import lt
 
 from .errors import ParseError
-from .exactnum import rat_parse, rat_str
+from .exactnum import _RAT_RE, rat_parse, rat_str
 from .system import (
     BilinearTable,
     TripleSystem,
@@ -46,15 +46,12 @@ def _content_lines(text: str):
 
 
 def _column_of(line: str, token_pos: int) -> int:
-    # Best effort: character offset of the token at token_pos, 1-based.
+    # The 1-based character offset of the token at token_pos of line.split().
     tokens = line.split()
     offset = 0
     for t in tokens[:token_pos]:
         offset = line.index(t, offset) + len(t)
-    try:
-        return line.index(tokens[token_pos], offset) + 1
-    except (ValueError, IndexError):
-        return len(line)
+    return line.index(tokens[token_pos], offset) + 1
 
 
 def _is_int(token: str) -> bool:
@@ -75,9 +72,10 @@ def _parse_coeff(token: str, lineno: int, line: str, pos: int):
     try:
         return rat_parse(token)
     except ValueError:
-        raise ParseError(
-            f"expected a rational 'p' or 'p/q', got {token!r}", lineno, _column_of(line, pos)
-        ) from None
+        if not _RAT_RE.fullmatch(token):
+            raise ParseError(f"expected a rational 'p' or 'p/q', got {token!r}", lineno, _column_of(line, pos)) from None
+        digits = max(len(part.lstrip("-")) for part in token.split("/"))  # a part beyond int()'s digit limit
+        raise ParseError(f"coefficient part of {digits} digits is too long", lineno, _column_of(line, pos)) from None
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {token!r}", lineno, _column_of(line, pos)) from None
 

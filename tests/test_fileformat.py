@@ -156,24 +156,55 @@ def test_one_pass_parse_declines_every_single_edit():
     assert seen == set(LINE_EDITS) | set(TEXT_EDITS)
 
 
-@pytest.mark.parametrize(
-    "text, line, column",
-    [
-        ("dim " + "1" * 5000 + "\n", 1, 5),
-        ("dim 2\nprod 1 " + "1" * 5000 + " 1 = 1 * 2\n", 2, 8),
-        ("dim 2\nlabel " + "2" * 5000 + " x\n", 2, 7),
-    ],
-    ids=["dim", "index", "label"],
-)
-def test_integer_beyond_the_digit_limit_is_a_parse_error_with_its_position(tmp_path, text, line, column):
-    message = f"line {line}, column {column}: integer of 5000 digits is too long"
-    with pytest.raises(ts.ParseError, match=message):
-        ts.parse_system(text)
-    path = tmp_path / "long.lts"
+def _cli_stderr(tmp_path, command, text):
+    """run_command's exit code, stdout and stderr on a file holding text."""
+    path = tmp_path / "input.lts"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    assert cli.run_command(["verify", str(path)], out, err) == 2
-    assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
+    return cli.run_command([command, str(path)], out, err), out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text, line, column, cause",
+    [
+        ("dim " + "1" * 5000 + "\n", 1, 5, "integer of 5000 digits"),
+        ("dim 2\nprod 1 " + "1" * 5000 + " 1 = 1 * 2\n", 2, 8, "integer of 5000 digits"),
+        ("dim 2\nlabel " + "2" * 5000 + " x\n", 2, 7, "integer of 5000 digits"),
+        ("dim 2\nprod 1 1 1 = " + "1" * 5000 + " * 2\n", 2, 14, "coefficient part of 5000 digits"),
+        ("dim 2\nprod 1 1 1 = -" + "2" * 4500 + "/3 * 2\n", 2, 14, "coefficient part of 4500 digits"),
+        ("dim 2\nprod 1 1 1 = 3/" + "7" * 5000 + " * 2\n", 2, 14, "coefficient part of 5000 digits"),
+        ("dim 2\nprod 1 1 1 = 1/" + "0" * 5000 + " * 2\n", 2, 14, "coefficient part of 5000 digits"),
+        ("dim 2\nbrk 2 1 = " + "9" * 4400 + " * 2\n", 2, 11, "coefficient part of 4400 digits"),
+    ],
+    ids=["dim", "index", "label", "numerator", "negative", "denominator", "zero-denominator", "bracket"],
+)
+def test_integer_beyond_the_digit_limit_is_a_parse_error_with_its_position(tmp_path, text, line, column, cause):
+    # the cause and the position, without the token itself
+    message = f"line {line}, column {column}: {cause} is too long"
+    parse, command = (ts.parse_leibniz, "lift-leibniz") if "\nbrk " in text else (ts.parse_system, "verify")
+    with pytest.raises(ts.ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    assert _cli_stderr(tmp_path, command, text) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim 2\nlabel 1\n", "line 2, column 1: expected 'label K NAME'"),
+        ("dim 2\n# x\nlabel 1 x y\n", "line 3, column 1: expected 'label K NAME'"),
+        ("", "line 1: missing 'dim' line"),
+        ("# a comment\n\n   \n", "line 1: missing 'dim' line"),
+    ],
+    ids=["label-short", "label-long", "empty", "comments-only"],
+)
+def test_label_shape_and_missing_dim_are_parse_errors(tmp_path, text, message):
+    for parse in (ts.parse_system, ts.parse_leibniz):
+        with pytest.raises(ts.ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+    for command in ("verify", "lift-leibniz"):
+        assert _cli_stderr(tmp_path, command, text) == (2, "", f"error: {message}\n")
 
 
 def test_the_one_pass_memo_ends_with_the_op(tmp_path):

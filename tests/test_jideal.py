@@ -244,6 +244,16 @@ def test_split_not_adapted():
         assert exc.value.row == (F(1), F(1), F(0), F(0))
 
 
+def test_annihilation_and_declared_split_refuse_a_subspace_of_another_dim():
+    T = make_nf3_lift()
+    for J in (ts.RowSpace(2), span_of(4, 1)):
+        message = f"^subspace dimension {J.dim} does not match system dimension 3$"
+        with pytest.raises(ts.DimensionError, match=message):
+            ts.check_annihilation(T, J)
+        with pytest.raises(ts.DimensionError, match=message):
+            ts.split_basis(T, J)
+
+
 def test_split_generic_accepts_declared_ideal():
     T = make_nf3_lift()
     S = ts.split_basis(T, span_of(3, 2, 3))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,12 +144,36 @@ def test_random_nested_values_match_json_dumps():
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, {1, 2}, [1, 2.0], {"a": {"b": frozenset()}}, {"a": [b"bytes"]}, {1: "int key"}],
-    ids=["float", "set", "nested-float", "nested-frozenset", "bytes", "int-key"],
+    [{1, 2}, {"a": {"b": frozenset()}}, {"a": [b"bytes"]}],
+    ids=["set", "nested-frozenset", "bytes"],
 )
 def test_unsupported_values_raise_type_error(value):
     with pytest.raises(TypeError):
         cli._dumps(value)
+    with pytest.raises(TypeError):
+        cli._dumps([value, ts.IdentityReport("both", (), 3)])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [1, 2.0], {1: "int key"}],
+    ids=["float", "nested-float", "int-key"],
+)
+def test_floats_and_int_keys_match_json_dumps(value):
+    # json.dumps writes them; only reports and what json.dumps refuses are the writer's own
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+    report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6)
+    assert cli._dumps({"x": value, "v": report}) == _json_dumps({"x": value, "v": report})
+
+
+def test_a_document_with_the_string_nul_and_a_report_is_refused():
+    # json.dumps writes a report as the string "\0" first: any other "\0" string or key is refused, not written wrong
+    report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, 1),)),), 5)
+    for value in ({"a": "\0", "v": report}, [report, "\0"], {"\0": 1, "v": [report]}):
+        with pytest.raises(ValueError):
+            cli._dumps(value)
+    for value in ({"a": "\0"}, ["\0", "a\0b"], {"v": report, "a": "a\0", "b": "\0\0"}):
+        assert cli._dumps(value) == _json_dumps(value)
 
 
 # --- violation records --------------------------------------------------------------
@@ -179,7 +204,7 @@ def test_violation_record_documents_match_json_dumps():
             report = doc["violations"]
             assert type(report) is ts.IdentityReport and not report.ok
             assert cli._dumps(doc) == _json_dumps(doc)
-            nested = [report, {"v": [report], "w": report}]
+            nested = [report, {"v": [report], "w": report}, {"x": {"y": [report, {"z": report}]}}]
             assert cli._dumps(nested) == _json_dumps(nested)
             for v in _records(report):
                 values = v["residual"].values()
@@ -390,6 +415,27 @@ def test_each_json_document_and_batch_is_one_write(tmp_path):
         cli.run_command(argv, out=out, err=io.StringIO())
         assert len(out.writes) == 1 and out.writes[0].endswith("\n"), argv
         assert out.writes[0] == _stdout(argv)
+
+
+def test_each_json_batch_with_two_reports_and_a_check_error_document(tmp_path):
+    dense = _dense_files(tmp_path)[:2]
+    unadapted = tmp_path / "unadapted.lts"
+    unadapted.write_text(TEXTS[1], encoding="utf-8")
+    error = json.loads(_stdout(["split", "--json", str(unadapted)]))
+    assert list(error) == ["command", "file", "error"] and error["error"]["kind"] == "NotAdapted"
+    # report keeps its split error in the document; the batch holds two reports and that document
+    out = _stdout(["report", "--each", "--json", *dense, str(unadapted)])
+    docs = json.loads(out)
+    assert out == json.dumps(docs, indent=2) + "\n"
+    assert [bool(d["violations"]) for d in docs] == [True, True, False] and "error" in docs[2]["split"]
+    # no command with a report raises a check error, so run_command's own check-error document goes in by hand
+    parser = cli._build_parser()
+    args = parser.parse_args(["report", *dense])
+    args.cap = DEFAULT_IDENTITY_CAP
+    reports = [cli._HANDLERS["report"](path, Path(path).read_text(encoding="utf-8"), args)[1] for path in dense]
+    batch = [reports[0], error, reports[1]]
+    assert cli._dumps(batch, "\n") == _json_dumps(batch) + "\n"
+    assert json.loads(cli._dumps(batch)) == [docs[0], error, docs[1]]
 
 
 def test_json_stdout_bytes_of_the_console_match_run_command(tmp_path):

@@ -115,6 +115,17 @@ def test_construct_refuses_labels_a_file_cannot_hold(build, row, serialize, pars
         assert parse(serialize(X)) == X
 
 
+@pytest.mark.parametrize(
+    "build, row",
+    [(ts.construct_system, (1, 2, 1, 1, 2)), (ts.construct_bilinear, (1, 2, 1, 2))],
+    ids=["system", "bilinear"],
+)
+def test_construct_refuses_a_label_sequence_of_another_length(build, row):
+    for labels in ((), ("x",), ("x", None, "z")):
+        with pytest.raises(ts.DimensionError, match=f"^expected 2 labels, got {len(labels)}$"):
+            build(2, [row], labels=labels)
+
+
 def test_entries_sorted_canonically():
     T = ts.construct_system(2, [(2, 1, 1, -1, 2), (1, 2, 1, 1, 2)])
     assert [e[:3] for e in T.entries] == [(1, 2, 1), (2, 1, 1)]
@@ -301,6 +312,12 @@ def test_bracket_construct_rejects():
         ts.construct_bilinear(2, [(1, 1, 0, 2)])
     with pytest.raises(ts.DuplicateEntry):
         ts.construct_bilinear(2, [(1, 1, 1, 2), (1, 1, 2, 2)])
+
+
+def test_bracket_construct_rejects_dim_below_one():
+    for dim in (0, -3):
+        with pytest.raises(ValueError, match=f"^dimension must be at least 1, got {dim}$"):
+            ts.construct_bilinear(dim, [])
 
 
 def test_bracket_multiple_targets_allowed():
