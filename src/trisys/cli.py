@@ -534,6 +534,7 @@ def _dumps(obj, end: str = "") -> str:
         parts.append(before)
         _write_violations(report, "\n" + line[: len(line) - len(line.lstrip())], parts)
     parts += pieces[-1], end
+    reports.clear()  # json.dumps leaves its encoder's closures in a reference cycle that holds mark and so this list
     return "".join(parts)
 
 

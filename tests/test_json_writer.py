@@ -1,5 +1,6 @@
 """The CLI's JSON writer against json.dumps(indent=2), byte for byte."""
 
+import gc
 import io
 import json
 import os
@@ -164,6 +165,22 @@ def test_floats_and_int_keys_match_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
     report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6)
     assert cli._dumps({"x": value, "v": report}) == _json_dumps({"x": value, "v": report})
+
+
+def test_the_writer_keeps_no_reference_to_a_report():
+    # json.dumps leaves its encoder in a reference cycle: a report held there would stay until a collection
+    report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, 1),)),), 5)
+    values = ({"v": report}, [report, {"w": [report]}])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = sys.getrefcount(report)
+        for value in values:
+            cli._dumps(value)
+            assert sys.getrefcount(report) == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_document_with_the_string_nul_and_a_report_is_refused():
