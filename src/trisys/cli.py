@@ -450,7 +450,8 @@ def _plain_args(argv) -> argparse.Namespace | None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_MARK = _encode_str("\0")  # how json.dumps writes a report, before its records replace it
+_MARK = _encode_str("\0")  # how the encoder writes a report, before its records replace it
+_BATCH = 4096  # encoder chunks, or violation keys, joined into one write
 
 
 class _Table(dict):
@@ -477,42 +478,66 @@ def _openings(R: int, idents: tuple, indent: str):
     return _Table(lambda low: heads[low % K]), ab, _Table(lambda low: cdfs[low // K])  # one string per c, d, f
 
 
-def _write_violations(report, indent: str, parts: list) -> None:
-    """Extend parts with the report's violations as json.dumps(indent=2) writes a list of records at this indent.
+def _write_violations(report, indent: str, write) -> None:
+    """Write the report's violations as json.dumps(indent=2) writes a list of records at this indent.
 
     A record, {"identity", "tuple", "residual"}, is four pieces: head[low],
     ab[cell // Q] and cdf[low], where its keys are cell·R + target, cell =
     ((a·R + b)·R³ + (c·R + d)·R + f)·K + identity, Q = R³·K and low = cell %
-    Q, then its body, the (target, numerator) strings of its keys.  A NUL,
-    which no pair string holds, ends each body but the last: one join, one split.
+    Q, then its body, the (target, numerator) strings of its keys.  The keys
+    go out in slices of about _BATCH that each end on a record; in a slice, a
+    NUL, which no pair string holds, ends each body but the last: one join,
+    one split and one write per slice.
     """
     R, idents, keys, nums = report._cells
     if not keys:
-        parts.append("[]")
+        write("[]")
         return
     Q, inner, sep = R**3 * len(idents), indent + "  ", "," + indent + "      "
     head, ab, cdf = (table.__getitem__ for table in _openings(R, idents, indent))
     text = cache(lambda n: rat_str(Fraction(n, report.denominator)))  # one string per numerator
     pair = _Table(lambda key: f'"{key[1]}": "{text(key[0])}"' + "\0" * key[2])  # key: (numerator, target, ends)
-    # a key ends a record when the next key's cell differs; the report's last key needs no mark
-    ends = [*map(ne, map(floordiv, keys[1:], repeat(R)), map(floordiv, keys, repeat(R))), False]
-    bodies = sep.join(map(pair.__getitem__, zip(nums, map(mod, keys, repeat(R)), ends))).split("\0" + sep)
-    lasts = [*compress(keys, ends), keys[-1]]  # each record's last key
-    lows = list(map(mod, map(floordiv, lasts, repeat(R)), repeat(Q)))
-    opens = map(head, lows), map(ab, map(floordiv, lasts, repeat(Q * R))), map(cdf, lows)
-    first = len(parts)
-    parts.extend(chain.from_iterable(zip(*opens, bodies)))
-    parts[first] = "[" + parts[first].partition(",")[2]  # a head's first "," ends the close of the record before it
-    parts.append(f"{inner}  }}{inner}}}{indent}]")
+    start, total = 0, len(keys)
+    while start < total:
+        stop = min(start + _BATCH, total)
+        last = keys[stop - 1] // R
+        while stop < total and keys[stop] // R == last:  # each slice ends on a record
+            stop += 1
+        slice_keys = keys[start:stop]
+        cells = [*map(floordiv, slice_keys, repeat(R))]
+        # a key ends a record when the next key's cell differs; no NUL after the slice's last key
+        ends = [*map(ne, islice(cells, 1, None), cells), False]
+        targets = map(mod, slice_keys, repeat(R))
+        bodies = sep.join(map(pair.__getitem__, zip(nums[start:stop], targets, ends))).split("\0" + sep)
+        lasts = [*compress(cells, ends), last]  # each record's cell
+        lows = list(map(mod, lasts, repeat(Q)))
+        opens = map(head, lows), map(ab, map(floordiv, lasts, repeat(Q))), map(cdf, lows)
+        pieces = [*chain.from_iterable(zip(*opens, bodies))]
+        if not start:
+            pieces[0] = "[" + pieces[0].partition(",")[2]  # a head's first "," ends the close of the record before it
+        write("".join(pieces))
+        start = stop
+    write(f"{inner}  }}{inner}}}{indent}]")
 
 
-def _dumps(obj, end: str = "") -> str:
-    """json.dumps(obj, indent=2) with each IdentityReport in it written as its violation records, then end.
+def _line_end(line: str, text: str) -> str:
+    """The open line, the text after the last newline, once text is written after the open line `line`."""
+    _, newline, rest = text.rpartition("\n")
+    return rest if newline else line + rest
 
-    json.dumps writes each report as the string "\\0"; the text is split at
-    those marks and each report's records go in its place, at the indent of
-    the mark's line.  A document with a report that also holds the string
-    "\\0" is refused, not written wrong.
+
+def _dump(obj, out, end: str = "") -> None:
+    """Write json.dumps(obj, indent=2) to out, each IdentityReport in it as its violation records, then end.
+
+    The encoder's chunks are joined and written _BATCH at a time, so no whole
+    document is ever held.  The encoder writes each report as the string
+    "\\0"; a batch in which it met reports is split at those marks and each
+    report's records go in its place, at the indent of the mark's line, which
+    may have begun in an earlier batch.  A batch with a report that also
+    holds the string "\\0" is refused with ValueError, not written wrong.
+    That refusal, and the TypeError on a value json.dumps cannot write (a
+    set, bytes), can come after some pieces are written; no CLI document
+    reaches either.
     """
     reports = []
 
@@ -522,20 +547,25 @@ def _dumps(obj, end: str = "") -> str:
         reports.append(value)
         return "\0"
 
-    text = json.dumps(obj, indent=2, default=mark)
-    if not reports:
-        return text + end
-    pieces = text.split(_MARK)
-    if len(pieces) != len(reports) + 1:
-        raise ValueError('a document with an identity report cannot also hold the string "\\0"')
-    parts: list[str] = []
-    for before, report in zip(pieces, reports):
-        line = before.rpartition("\n")[2]
-        parts.append(before)
-        _write_violations(report, "\n" + line[: len(line) - len(line.lstrip())], parts)
-    parts += pieces[-1], end
-    reports.clear()  # json.dumps leaves its encoder's closures in a reference cycle that holds mark and so this list
-    return "".join(parts)
+    write, line = out.write, ""  # line: the text written since the last newline
+    chunks = json.JSONEncoder(indent=2, default=mark).iterencode(obj)
+    try:
+        for batch in iter(lambda: "".join(islice(chunks, _BATCH)), ""):
+            pieces = batch.split(_MARK) if reports else (batch,)
+            if len(pieces) != len(reports) + 1:
+                raise ValueError('a document with an identity report cannot also hold the string "\\0"')
+            for before, report in zip(pieces, reports):
+                write(before)
+                line = _line_end(line, before)
+                indent = line[: len(line) - len(line.lstrip())]
+                _write_violations(report, "\n" + indent, write)
+                line = indent + "]"  # the records end on a line at the mark's indent
+            reports.clear()
+            write(pieces[-1])
+            line = _line_end(line, pieces[-1])
+        write(end)
+    finally:
+        reports.clear()  # the encoder's closures form a reference cycle that holds mark and so this list
 
 
 def run_command(argv, out=None, err=None) -> int:
@@ -584,14 +614,14 @@ def run_command(argv, out=None, err=None) -> int:
         if batch is not None:
             batch.append(doc)
         elif args.json:
-            out.write(_dumps(doc, "\n"))
+            _dump(doc, out, "\n")
         elif "error" in doc:  # a check that could not run
             out.write(f"error: {doc['error']['kind']}: {doc['error']['message']}\n")
         else:
             out.write("\n".join(_RENDERERS[doc["command"]](doc)) + "\n")
         worst = max(worst, code)
     if batch is not None:
-        out.write(_dumps(batch, "\n"))
+        _dump(batch, out, "\n")
     return worst
 
 

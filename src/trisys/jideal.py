@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse
 
 from .errors import DimensionError, InconsistentSplit, NotAdapted, NotAdmissible
 from .exactnum import (RowSpace, Sparse, Vector, coordinate_space, rowspace_from, sparse_add, sparse_to_vector,
@@ -238,7 +238,7 @@ def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
         bad = next(row for row in J.rows if sum(1 for c in row if c) != 1)
         raise NotAdapted(bad)
     inside = set(iset)
-    jset = tuple([i for i in range(1, T.dim + 1) if i not in inside])
+    jset = tuple(filterfalse(inside.__contains__, range(1, T.dim + 1)))
     return SplitSystem(T, tuple(sorted(iset)), jset, mode)
 
 

@@ -1,12 +1,14 @@
 """The CLI's JSON writer against json.dumps(indent=2), byte for byte."""
 
 import gc
+import hashlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +50,13 @@ def _json_dumps(value):
     return json.dumps(value, indent=2, default=_records)
 
 
+def _dumps(value, end=""):
+    """What cli._dump writes for value, as one string."""
+    out = io.StringIO()
+    cli._dump(value, out, end)
+    return out.getvalue()
+
+
 def _corpus_texts():
     rng = random.Random(17)
     systems = random_verified_corpus(23, 12, max_dim=6) + random_broken_tables(29, 8)
@@ -84,7 +93,7 @@ def test_every_command_document_matches_json_dumps():
                     _, doc = cli._HANDLERS[command](path, text, args)
                 except ts.TriSysError:
                     continue  # error documents are covered through run_command below
-                assert cli._dumps(doc) == _json_dumps(doc)
+                assert _dumps(doc) == _json_dumps(doc)
                 documents += 1
     assert documents > 200
 
@@ -140,7 +149,7 @@ def test_random_nested_values_match_json_dumps():
     values = [_random_value(rng) for _ in range(3000)]
     values += [[], {}, [[]], [{}], {"": {}}, {"a": []}, ((),), [[[]], {}], (), "", 0, True, None]
     for value in values:
-        assert cli._dumps(value) == json.dumps(value, indent=2), value
+        assert _dumps(value) == json.dumps(value, indent=2), value
 
 
 @pytest.mark.parametrize(
@@ -150,9 +159,9 @@ def test_random_nested_values_match_json_dumps():
 )
 def test_unsupported_values_raise_type_error(value):
     with pytest.raises(TypeError):
-        cli._dumps(value)
+        _dumps(value)
     with pytest.raises(TypeError):
-        cli._dumps([value, ts.IdentityReport("both", (), 3)])
+        _dumps([value, ts.IdentityReport("both", (), 3)])
 
 
 @pytest.mark.parametrize(
@@ -162,13 +171,13 @@ def test_unsupported_values_raise_type_error(value):
 )
 def test_floats_and_int_keys_match_json_dumps(value):
     # json.dumps writes them; only reports and what json.dumps refuses are the writer's own
-    assert cli._dumps(value) == json.dumps(value, indent=2)
+    assert _dumps(value) == json.dumps(value, indent=2)
     report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6)
-    assert cli._dumps({"x": value, "v": report}) == _json_dumps({"x": value, "v": report})
+    assert _dumps({"x": value, "v": report}) == _json_dumps({"x": value, "v": report})
 
 
 def test_the_writer_keeps_no_reference_to_a_report():
-    # json.dumps leaves its encoder in a reference cycle: a report held there would stay until a collection
+    # the encoder's closures form a reference cycle: a report held there would stay until a collection
     report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, 1),)),), 5)
     values = ({"v": report}, [report, {"w": [report]}])
     enabled = gc.isenabled()
@@ -176,7 +185,7 @@ def test_the_writer_keeps_no_reference_to_a_report():
     try:
         before = sys.getrefcount(report)
         for value in values:
-            cli._dumps(value)
+            _dumps(value)
             assert sys.getrefcount(report) == before
     finally:
         if enabled:
@@ -184,13 +193,16 @@ def test_the_writer_keeps_no_reference_to_a_report():
 
 
 def test_a_document_with_the_string_nul_and_a_report_is_refused():
-    # json.dumps writes a report as the string "\0" first: any other "\0" string or key is refused, not written wrong
+    # the encoder writes a report as the string "\0" first: any other "\0" string or key in its batch is refused
     report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, 1),)),), 5)
     for value in ({"a": "\0", "v": report}, [report, "\0"], {"\0": 1, "v": [report]}):
         with pytest.raises(ValueError):
-            cli._dumps(value)
+            _dumps(value)
     for value in ({"a": "\0"}, ["\0", "a\0b"], {"v": report, "a": "a\0", "b": "\0\0"}):
-        assert cli._dumps(value) == _json_dumps(value)
+        assert _dumps(value) == _json_dumps(value)
+    # only a batch with a report is split at the marks: a "\0" written in an earlier batch is written as it is
+    value = {"a": "\0", "pad": list(range(2 * cli._BATCH)), "v": report}
+    assert _dumps(value) == _json_dumps(value)
 
 
 # --- violation records --------------------------------------------------------------
@@ -220,9 +232,9 @@ def test_violation_record_documents_match_json_dumps():
             _, doc = cli._HANDLERS[command](path, text, args)
             report = doc["violations"]
             assert type(report) is ts.IdentityReport and not report.ok
-            assert cli._dumps(doc) == _json_dumps(doc)
+            assert _dumps(doc) == _json_dumps(doc)
             nested = [report, {"v": [report], "w": report}, {"x": {"y": [report, {"z": report}]}}]
-            assert cli._dumps(nested) == _json_dumps(nested)
+            assert _dumps(nested) == _json_dumps(nested)
             for v in _records(report):
                 values = v["residual"].values()
                 multi += len(values) > 1
@@ -251,7 +263,7 @@ def test_two_digit_violation_records_match_json_dumps():
             _, doc = cli._HANDLERS[command](path, text, args)
             report = doc["violations"]
             assert not report.ok
-            assert cli._dumps(doc) == _json_dumps(doc)
+            assert _dumps(doc) == _json_dumps(doc)
             digits.update(x for _, t, pairs in report.residuals for x in (*t, *(m for m, _ in pairs)) if x >= 10)
     assert digits == {10, 11, 12}
 
@@ -273,8 +285,19 @@ def test_each_json_over_two_digit_and_dim_3_files_is_json_dumps_of_itself(tmp_pa
     assert docs == [json.loads(single) for single in singles] and [d["dim"] for d in docs] == [10, 11, 3]
 
 
-def test_writer_peak_memory_stays_under_twice_its_output():
-    # the writer's traced peak on the largest report here, its output included
+class _Counter:
+    """An output stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_writer_peak_memory_stays_under_a_quarter_of_its_output():
+    # the writer's traced peak on a batch of every report here, twice over, into a stream that keeps nothing
     parser = cli._build_parser()
     docs = []
     for n, T in enumerate(_two_digit_tables() + _residual_tables()):
@@ -282,14 +305,16 @@ def test_writer_peak_memory_stays_under_twice_its_output():
         args = parser.parse_args(["report", path])
         args.cap = DEFAULT_IDENTITY_CAP
         docs.append(cli._HANDLERS["report"](path, ts.serialize_system(T), args)[1])
-    doc = max(docs, key=lambda d: len(cli._dumps(d)))
+    batch = docs * 2
+    cli._dump(batch, _Counter())  # fills the record openings' tables, which grow with dim, family and indent only
+    sink = _Counter()
     tracemalloc.start()
     try:
-        written = cli._dumps(doc)
+        cli._dump(batch, sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(written) > 1_000_000 and peak < 2 * len(written), peak / len(written)
+    assert sink.chars > 8_000_000 and peak < sink.chars / 4, peak / sink.chars
 
 
 def _random_report(rng):
@@ -311,14 +336,14 @@ def test_hand_built_violation_records_match_json_dumps():
         report = _random_report(rng)
         names.update(ident for ident, _, _ in report.residuals)
         for value in (report, {"violations": report, "x": [report]}, [[report]]):
-            assert cli._dumps(value) == _json_dumps(value), value
+            assert _dumps(value) == _json_dumps(value), value
     assert names == set(_IDENTITY_NAMES)
     empty = ts.IdentityReport("both", (), 3)
-    assert cli._dumps(empty) == "[]" and cli._dumps({"v": [empty]}) == json.dumps({"v": [[]]}, indent=2)
+    assert _dumps(empty) == "[]" and _dumps({"v": [empty]}) == json.dumps({"v": [[]]}, indent=2)
     one = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6)
     written = [{"identity": "four.1", "tuple": [1, 2, 3, 4, 5], "residual": {"1": "-2", "3": "1/6"}}]
     assert _records(one) == [{**written[0], "tuple": (1, 2, 3, 4, 5)}]
-    assert cli._dumps({"v": one}) == json.dumps({"v": written}, indent=2)
+    assert _dumps({"v": one}) == json.dumps({"v": written}, indent=2)
 
 
 _FAMILIES = {"four": FOUR_FAMILY, "two": TWO_FAMILY, "both": _IDENTITY_NAMES}
@@ -360,9 +385,54 @@ def test_radix_openings_match_json_dumps_for_every_family_and_dim():
                 targets.update(len(pairs) for _, _, pairs in report.residuals)
                 assert cli._violation_count(report) == len(report.residuals)
                 for value in (report, {"violations": report, "x": [report]}, [[report]]):
-                    assert cli._dumps(value) == _json_dumps(value), (family, dim)
+                    assert _dumps(value) == _json_dumps(value), (family, dim)
     assert {("two", 2), ("four", 4), ("both", 6)} <= radices  # R == K
     assert targets == {1, 2, 3, 4, 5} and shared > 100
+
+
+def _three_target_report(records):
+    """A hand-built dim-6 report of that many records, each with three targets."""
+    rng = random.Random(181)
+    cells = dict.fromkeys((rng.choice(_IDENTITY_NAMES), tuple(rng.choices(range(1, 7), k=5))) for _ in range(2 * records))
+    residuals = [
+        (name, tup, tuple((m, rng.choice((1, -5, 36, 2**70))) for m in sorted(rng.sample(range(1, 7), 3))))
+        for name, tup in list(cells)[:records]
+    ]
+    return ts.IdentityReport("both", residuals, 6, 6)
+
+
+def test_a_report_of_three_key_slices_with_multi_target_records_at_the_edges_matches_json_dumps():
+    report = _three_target_report(3000)
+    R, _, keys, _ = report._cells
+    assert len(keys) > 2 * cli._BATCH
+    # the key at each slice's nominal end is not a record's last, so each slice runs on to its record's end
+    for edge in (cli._BATCH, 2 * cli._BATCH):
+        assert keys[edge - 1] // R == keys[edge] // R
+    out = _Recorder()
+    cli._dump({"v": report}, out)
+    assert len(out.writes) > 3
+    for value in (report, {"violations": report, "x": [report]}, [[report]]):
+        assert _dumps(value) == _json_dumps(value)
+
+
+def test_reports_after_several_batches_of_chunks_keep_their_indent():
+    # the padding moves each mark across a batch edge, so some marks' lines begin in the batch before
+    report = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6)
+    offsets = set()
+    for n in range(2 * cli._BATCH - 24, 2 * cli._BATCH):
+        value = {"pad": list(range(n)), "x": {"y": [report, {"z": report}]}}
+        chunks = list(json.JSONEncoder(indent=2, default=lambda o: "\0").iterencode(value))
+        offsets.update(i % cli._BATCH for i, chunk in enumerate(chunks) if chunk == cli._MARK)
+        assert _dumps(value) == _json_dumps(value), n
+    assert {0, 1, 2} <= offsets
+
+
+def test_an_empty_report_between_two_full_ones_matches_json_dumps():
+    full = _three_target_report(3000)
+    small = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((1, -12), (3, 1))),), 5, 6)
+    empty = ts.IdentityReport("both", (), 3)
+    for value in ([full, empty, small], {"a": small, "b": empty, "c": [full]}, [[full], {"e": empty}, small]):
+        assert _dumps(value) == _json_dumps(value)
 
 
 def test_hand_built_reports_equal_computed_ones():
@@ -376,7 +446,7 @@ def test_hand_built_reports_equal_computed_ones():
                 dense_check_identities(T, family),
             ):
                 assert hand == report and hash(hand) == hash(report)
-                assert cli._dumps({"v": hand}) == cli._dumps({"v": report}) == _json_dumps({"v": report})
+                assert _dumps({"v": hand}) == _dumps({"v": report}) == _json_dumps({"v": report})
                 assert cli._violation_count(hand) == cli._violation_count(report) == len(report.residuals)
 
 
@@ -423,15 +493,19 @@ def _dense_files(tmp_path):
     return paths
 
 
-def test_each_json_document_and_batch_is_one_write(tmp_path):
+def test_each_json_document_and_batch_goes_out_in_pieces_of_at_most_1_mib(tmp_path):
     paths = _dense_files(tmp_path) + _files(tmp_path)[:4]
     argvs = [[command, "--json", *flags, path] for path in paths for command in COMMANDS for flags in FLAGS[command]]
     argvs += [[command, "--each", "--json", *paths] for command in COMMANDS]
+    longest = 0
     for argv in argvs:
         out = _Recorder()
         cli.run_command(argv, out=out, err=io.StringIO())
-        assert len(out.writes) == 1 and out.writes[0].endswith("\n"), argv
-        assert out.writes[0] == _stdout(argv)
+        written = "".join(out.writes)
+        assert written == _stdout(argv) and written.endswith("\n"), argv
+        assert max(map(len, out.writes)) <= 2**20, argv
+        longest = max(longest, len(written))
+    assert longest > 2**20
 
 
 def test_each_json_batch_with_two_reports_and_a_check_error_document(tmp_path):
@@ -451,8 +525,8 @@ def test_each_json_batch_with_two_reports_and_a_check_error_document(tmp_path):
     args.cap = DEFAULT_IDENTITY_CAP
     reports = [cli._HANDLERS["report"](path, Path(path).read_text(encoding="utf-8"), args)[1] for path in dense]
     batch = [reports[0], error, reports[1]]
-    assert cli._dumps(batch, "\n") == _json_dumps(batch) + "\n"
-    assert json.loads(cli._dumps(batch)) == [docs[0], error, docs[1]]
+    assert _dumps(batch, "\n") == _json_dumps(batch) + "\n"
+    assert json.loads(_dumps(batch)) == [docs[0], error, docs[1]]
 
 
 def test_json_stdout_bytes_of_the_console_match_run_command(tmp_path):
@@ -469,3 +543,39 @@ def test_json_stdout_bytes_of_the_console_match_run_command(tmp_path):
         code = cli.run_command(argv, out=out, err=err)
         assert (proc.returncode, proc.stderr) == (code, b"") == (1, b"")
         assert proc.stdout == out.getvalue().encode("utf-8") and len(proc.stdout) > 100_000
+
+
+# decompose --json wide2000.lts, the 3-entry dim-2000 file below, as json.dumps(indent=2) writes it: 48,253,074 bytes
+WIDE_SHA256 = "c6ab527eae28ad2d324e97a03b2c254f364eb0e04e4f1109edb14cd8d2300c98"
+
+
+def test_wide_decompose_json_is_written_under_256_mb(tmp_path):
+    # a 2000 × 2000 orthogonality matrix: the whole document held as one string needs ~350 MB
+    text = "dim 2000\nprod 1 2 1 = 1 * 2\nprod 2 1 1 = -1 * 2\nprod 300 300 300 = 1 * 499\n"
+    (tmp_path / "wide2000.lts").write_text(text, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(ts.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limited = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))\n"
+        "from trisys.cli import main\n"
+        "main()\n"
+    )
+    written = tmp_path / "wide.json"
+    start = time.perf_counter()
+    with open(written, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "decompose", "--json", "wide2000.lts"],
+            cwd=tmp_path,
+            stdout=out,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    digest = hashlib.sha256()
+    with open(written, "rb") as fh:
+        for block in iter(lambda: fh.read(2**20), b""):
+            digest.update(block)
+    assert (written.stat().st_size, digest.hexdigest()) == (48_253_074, WIDE_SHA256)
+    assert elapsed < 20, f"decompose --json on a dim-2000 file took {elapsed:.1f} s"
