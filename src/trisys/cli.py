@@ -74,17 +74,11 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _default_cap() -> int:
-    env = os.environ.get("TRISYS_CAP")
-    return _int(env) if env else DEFAULT_IDENTITY_CAP
-
-
 def _fmt_set(ids) -> str:
-    return "{" + ",".join(str(i) for i in ids) + "}"
+    return "{" + ",".join(map(str, ids)) + "}"
 
 
-def _fmt_bool(b: bool) -> str:
-    return "yes" if b else "no"
+_fmt_bool = ("no", "yes").__getitem__  # of a bool, with no Python-level call
 
 
 def _parse_iset(text: str) -> tuple[int, ...]:
@@ -315,7 +309,7 @@ def _split_lines(doc: dict) -> list[str]:
 
 def _decompose_lines(doc: dict) -> list[str]:
     lines = [f"mode: {doc['mode']}"]
-    lines.append("classes: " + " ".join(_fmt_set(cls) for cls in doc["classes"]))
+    lines.append("classes: " + " ".join(map(_fmt_set, doc["classes"])))
     for comp in doc["components"]:
         lines.append(
             f"component {_fmt_set(comp['indices'])}: "
@@ -424,7 +418,7 @@ def _plain_args(argv) -> argparse.Namespace | None:
     if flags is None:
         return None
     values = {"command": argv[0], "each": False, "json": False}
-    values.update((flag[2:].replace("-", "_"), _OPTIONS[flag]["default"]) for flag in flags)
+    values.update({flag[2:].replace("-", "_"): _OPTIONS[flag]["default"] for flag in flags})
     i = 1
     while i < len(argv) and argv[i][:1] == "-":
         flag, eq, value = argv[i].partition("=")
@@ -581,10 +575,11 @@ def run_command(argv, out=None, err=None) -> int:
         except SystemExit as stop:
             return stop.code if isinstance(stop.code, int) else USAGE_ERROR
     if hasattr(args, "cap") and args.cap is None:
+        env = os.environ.get("TRISYS_CAP")
         try:
-            args.cap = _default_cap()
+            args.cap = _int(env) if env else DEFAULT_IDENTITY_CAP
         except ValueError:
-            err.write(f"error: TRISYS_CAP must be an integer, got {os.environ['TRISYS_CAP']!r}\n")
+            err.write(f"error: TRISYS_CAP must be an integer, got {env!r}\n")
             return USAGE_ERROR
     if len(args.files) > 1 and not args.each:
         err.write("error: several files given without --each\n")

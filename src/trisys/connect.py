@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain, filterfalse
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalError, NotReversible
+from .exactnum import cached
 from .jideal import SplitSystem
 
 PARTITION_MODES = ("literal", "restricted")
@@ -85,7 +87,7 @@ class Partition:
     classes: tuple[tuple[int, ...], ...]
     mode: str
 
-    @cached_property
+    @cached
     def class_of(self) -> dict[int, int]:
         return {i: cls[0] for cls in self.classes for i in cls}
 
@@ -294,9 +296,9 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
 def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     """Connection classes of the index set, computed once per split and mode.
 
-    The step closure joins each index with the targets of its mu-steps,
-    read off the split's entry pass.  A barred step joins nothing new: the
-    entry's plain step joins the same two indices.  Literal mode
+    The step closure joins each index with the targets of its plain
+    mu-steps, read off the split's entry pass; a barred step joins the same
+    two indices as its entry's plain step.  Literal mode
     equals the connected components of the hypergraph with one hyperedge
     {i, j, k, target} per table entry; those are computed from the entries
     alone and cross-checked against the step closure.  Restricted mode is
@@ -308,10 +310,10 @@ def partition(S: SplitSystem, mode: str = "literal") -> Partition:
 def _partition(S: SplitSystem, mode: str) -> Partition:
     _check_mode(mode)
     n = S.sys.dim
-    closure = _components(n, ((x, y) for x, _, _, _, y in _entry_pass(S)[mode]))
+    closure = _components(n, map(itemgetter(0, 4), filterfalse(itemgetter(1), _entry_pass(S)[mode])))  # plain steps
     if mode == "restricted":
         return Partition(closure, mode)
-    hyper = _components(n, ((i, e) for (i, j, k), (_, m) in S.sys.table.items() for e in (j, k, m)))
+    hyper = _components(n, chain(*[map(itemgetter(0, p), S.sys.entries) for p in (1, 2, 4)]))  # i-j, i-k, i-target
     if hyper != closure:
         raise InternalError(
             f"hyperedge components {hyper} disagree with step closure {closure}"

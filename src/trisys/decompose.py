@@ -85,11 +85,12 @@ class MinimalityVerdict:
 def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry]) -> Component:
     # the parent's entries are validated and sorted by key, and the local
     # numbering is monotone, so they need no construct_system pass
-    local = {parent: pos for pos, parent in enumerate(cls, 1)}
-    local_entries = tuple([(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in entries])
-    sub = TripleSystem(len(cls), local_entries, tuple([S.sys.labels[parent - 1] for parent in cls]))
-    in_i = S.in_i
-    return Component(cls, sub, tuple([i for i in cls if i in in_i]), tuple([i for i in cls if i not in in_i]))
+    if entries:
+        local = {parent: pos for pos, parent in enumerate(cls, 1)}
+        entries = [(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in entries]
+    labels, inside = S.sys.labels, S.in_i.__contains__
+    sub = TripleSystem(len(cls), tuple(entries), tuple([labels[parent - 1] for parent in cls]))
+    return Component(cls, sub, tuple([*filter(inside, cls)]), tuple([*itertools.filterfalse(inside, cls)]))
 
 
 def _components(S: SplitSystem, mode: str) -> tuple[list[Component], list[Entry], list[list[int]]]:
@@ -135,7 +136,7 @@ def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionR
     clear = (True,) * len(comps)
     ortho = [tuple([b == a or b not in crossed[a] for b in range(len(comps))]) if a in crossed else clear
              for a in range(len(comps))]
-    covered = sorted(i for comp in comps for i in comp.indices) == list(range(1, S.sys.dim + 1))
+    covered = sorted([i for comp in comps for i in comp.indices]) == list(range(1, S.sys.dim + 1))
     report = DecompositionReport(tuple(comps), tuple(ortho), tuple(ideal_flags), covered, mode, tuple(straddlers))
     if mode == "literal" and not report.ok:
         raise TheoremViolation("literal decomposition failed its own guarantees")
@@ -210,11 +211,13 @@ def _principal_counterexample(S: SplitSystem) -> tuple[int, ...] | None:
     succ = _successors(S.sys)
     best: tuple[int, ...] | None = None
     for x in range(1, S.sys.dim + 1):
-        closed = tuple(_successor_closure(S.sys, (x,), succ)[0])
+        closed = tuple(_successor_closure(S.sys, (x,))[0]) if x in succ else (x,)
         if len(closed) == S.sys.dim or closed == S.iset:
             continue
         if best is None or (len(closed), closed) < (len(best), best):
             best = closed
+            if len(best) == 1:  # no later index has a smaller or lexicographically earlier closure
+                break
     return best
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, count, repeat
 from operator import is_not
 from typing import Iterable
@@ -38,10 +39,8 @@ def rat_parse(text: str) -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    """Serialize as "p" or "p/q" with q > 0 and no whitespace."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize as "p" or "p/q" with q > 0 and no whitespace, as str writes a Fraction (or an int)."""
+    return str(x)
 
 
 # Tuples built on every call are built at their exact size, from a list.
@@ -49,6 +48,13 @@ def rat_str(x: Fraction) -> str:
 # takes a tuple from CPython's free list of its final size, yet joins that
 # list when freed; the lists of sizes below 20 then fill (up to 2,000 each)
 # until a full collection clears them, and peak memory grows with them.
+
+
+class cached(cached_property):
+    """functools.cached_property without the lock that CPython 3.11 and older take on each first read."""
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else vars(instance).setdefault(self.attrname, self.func(instance))
 
 
 def basis_vector(dim: int, index: int) -> Vector:
@@ -62,7 +68,10 @@ def basis_vector(dim: int, index: int) -> Vector:
 
 def coordinate_space(dim: int, indices: Iterable[int]) -> RowSpace:
     """Canonical row space spanned by basis vectors, from sorted, distinct 1-based indices."""
-    return RowSpace(dim, tuple([basis_vector(dim, i) for i in indices]))
+    indices = tuple(indices)
+    space = RowSpace(dim, tuple([basis_vector(dim, i) for i in indices]))
+    vars(space)["_basis"] = indices  # its basis_indices, known without a scan
+    return space
 
 
 Sparse = dict[int, Fraction]  # 1-based index -> nonzero coefficient
@@ -96,20 +105,14 @@ class RowSpace:
         return len(self.rows)
 
     def basis_indices(self) -> tuple[int, ...] | None:
-        """1-based indices when every row is a standard basis vector, else None."""
-        out = []
-        for row in self.rows:
+        """1-based indices when every row is a standard basis vector, else None; found once per space."""
+        memo = vars(self)
+        if "_basis" not in memo:  # coordinate_space records its indices there
             # only coordinates that are not the shared ZERO object can be nonzero
-            nonzero = [p for p in compress(count(), map(is_not, row, repeat(ZERO))) if row[p]]
-            if len(nonzero) != 1:
-                return None
-            out.append(nonzero[0] + 1)
-        return tuple(out)
-
-
-def _check_dim(space: RowSpace, v: Vector) -> None:
-    if len(v) != space.dim:
-        raise DimensionError(f"vector of length {len(v)} in space of dimension {space.dim}")
+            nonzero = [[p + 1 for p in compress(count(), map(is_not, row, repeat(ZERO))) if row[p]]
+                       for row in self.rows]
+            memo["_basis"] = None if any(len(p) != 1 for p in nonzero) else tuple([p for p, in nonzero])
+        return memo["_basis"]
 
 
 def _reduce(rows: tuple[Vector, ...], v: Vector) -> list[Fraction]:
@@ -124,7 +127,8 @@ def _reduce(rows: tuple[Vector, ...], v: Vector) -> list[Fraction]:
 
 def span_insert(space: RowSpace, v: Vector) -> RowSpace:
     """Canonical row space of span(space ∪ {v}); rank grows by at most one."""
-    _check_dim(space, v)
+    if len(v) != space.dim:
+        raise DimensionError(f"vector of length {len(v)} in space of dimension {space.dim}")
     if space.rank == space.dim:
         return space
     w = _reduce(space.rows, v)

@@ -19,12 +19,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import chain
 
 from .errors import DimensionError, InconsistentSplit, NotAdapted, NotAdmissible
-from .exactnum import (RowSpace, Sparse, Vector, coordinate_space, rowspace_from, sparse_add, sparse_to_vector,
-                       span_insert)
+from .exactnum import (RowSpace, Sparse, Vector, cached, coordinate_space, rowspace_from, sparse_add,
+                       sparse_to_vector, span_insert)
 from .system import Key, TripleSystem
 
 
@@ -62,7 +61,7 @@ class SplitSystem:
         if not _annihilates(self.sys, in_i):
             raise NotAdmissible("ideal has a nonzero product in the second or third slot")
 
-    @cached_property
+    @cached
     def in_i(self) -> frozenset[int]:
         return frozenset(self.iset)
 
@@ -80,7 +79,7 @@ def _generator_items(T: TripleSystem) -> list[tuple[Key, Sparse]]:
     sums are of integer numerators over the common denominator `scale`, as in
     the identity check; a Fraction is built only for a nonzero coefficient.
     """
-    scale = math.lcm(*(c.denominator for c, _ in T.table.values()))
+    scale = math.lcm(*[c.denominator for c, _ in T.table.values()])
     scaled = {key: (c.numerator * (scale // c.denominator), m) for key, (c, m) in T.table.items()}
     candidates = set()
     for p, q, r in scaled:
@@ -120,25 +119,22 @@ def _slot_products(T: TripleSystem, v: Vector, slots=(0, 1, 2)) -> list[Vector]:
 
 
 def _successors(T: TripleSystem) -> dict[int, list[int]]:
-    """The entry digraph: x -> m for every entry with factor x and target m."""
-    succ: dict[int, list[int]] = {}
-    for key, (_, m) in T.table.items():
-        for x in key:
-            succ.setdefault(x, []).append(m)
-    return succ
+    """The entry digraph, x -> m for every entry with factor x and target m, built once per system."""
+    if "_successors" not in vars(T):
+        succ = vars(T)["_successors"] = {}
+        for key, (_, m) in T.table.items():
+            for x in key:
+                succ.setdefault(x, []).append(m)
+    return vars(T)["_successors"]
 
 
-def _successor_closure(
-    T: TripleSystem, indices, succ: dict[int, list[int]] | None = None
-) -> tuple[list[int], int]:
+def _successor_closure(T: TripleSystem, indices) -> tuple[list[int], int]:
     """Indices reachable from `indices` in the entry digraph, sorted, and the closure rounds.
 
     A closure round is one breadth-first layer; the rounds are the productive
     layers plus one, the round that adds nothing or starts at full rank.
-    `succ` is _successors(T) if the caller has it.
     """
-    if succ is None:
-        succ = _successors(T)
+    succ = _successors(T)
     seen = set(indices)
     layer, rounds = seen, 1
     while len(seen) < T.dim:
@@ -216,7 +212,7 @@ def check_annihilation(T: TripleSystem, J: RowSpace) -> bool:
 
 def _annihilates(T: TripleSystem, inside: set[int]) -> bool:
     """True iff no entry has slot 2 or 3 in `inside`: the span of those basis vectors annihilates there."""
-    return not any(j in inside or k in inside for _, j, k in T.table)
+    return inside.isdisjoint(chain.from_iterable(map(operator.itemgetter(1, 2), T.table)))
 
 
 def split_basis(T: TripleSystem, J: RowSpace) -> SplitSystem:
@@ -237,9 +233,10 @@ def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
     if iset is None:
         bad = next(row for row in J.rows if sum(1 for c in row if c) != 1)
         raise NotAdapted(bad)
-    inside = set(iset)
-    jset = tuple(filterfalse(inside.__contains__, range(1, T.dim + 1)))
-    return SplitSystem(T, tuple(sorted(iset)), jset, mode)
+    iset = tuple(sorted(iset))
+    # jset: the runs of indices strictly between consecutive iset indices, bounded by 0 and dim + 1
+    jset = tuple([*chain.from_iterable(map(range, map((1).__add__, chain((0,), iset)), chain(iset, (T.dim + 1,))))])
+    return SplitSystem(T, iset, jset, mode)
 
 
 def split_system(T: TripleSystem, witness: IdealWitness | None = None) -> SplitSystem:

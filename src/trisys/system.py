@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     NotMultiplicative,
     ZeroCoefficient,
 )
-from .exactnum import Sparse, Vector, sparse_add, sparse_to_vector
+from .exactnum import Sparse, Vector, cached, sparse_add, sparse_to_vector
 
 Key = tuple[int, int, int]
 Term = tuple[Fraction, int]
@@ -62,7 +63,7 @@ class TripleSystem:
     entries: tuple[Entry, ...]
     labels: tuple[str | None, ...]
 
-    @cached_property
+    @cached
     def table(self) -> dict[Key, Term]:
         return {(i, j, k): (c, m) for i, j, k, c, m in self.entries}
 
@@ -79,7 +80,7 @@ class BilinearTable:
     entries: tuple[BracketEntry, ...]
     labels: tuple[str | None, ...]
 
-    @cached_property
+    @cached
     def table(self) -> dict[tuple[int, int], tuple[Term, ...]]:
         out: dict[tuple[int, int], list[Term]] = {}
         for i, j, c, m in self.entries:
@@ -154,11 +155,11 @@ class IdentityReport:
         if pairs:
             yield idents[at], tup, tuple(pairs)
 
-    @cached_property
+    @cached
     def residuals(self) -> tuple[tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
         return tuple(self._records())
 
-    @cached_property
+    @cached
     def violations(self) -> tuple[tuple[str, tuple[int, ...], Vector], ...]:
         exact = cache(lambda n: Fraction(n, self.denominator))  # one Fraction per numerator
         return tuple((i, t, sparse_to_vector(self.dim, {m: exact(n) for m, n in r})) for i, t, r in self.residuals)
@@ -269,6 +270,22 @@ if any(sorted(IDENTITIES[copy]) != sorted(IDENTITIES[source]) for copy, source i
     raise AssertionError(f"the identities paired in {SAME_TERMS} no longer have the same terms")
 
 
+def _plan(idents: tuple[str, ...]) -> tuple[tuple[int, tuple[tuple[int, ...], ...], int], ...]:
+    """The identities a family joins, as (digit, terms, shift), each term flat: (sign, slot, *outer, *inner).
+
+    A SAME_TERMS copy of an identity in the family is not joined; its source's shift is the copy's digit minus its own.
+    """
+    copies = {source: idents.index(copy) for copy, source in SAME_TERMS.items() if copy in idents}
+    return tuple([(at, tuple([(sign, slot, *outer, *inner) for sign, slot, inner, outer in IDENTITIES[ident]]),
+                   copies.get(ident, at) - at)
+                  for at, ident in enumerate(idents) if SAME_TERMS.get(ident) not in idents])
+
+
+# family -> its identities and their plan, compiled once, at import
+_PLANS = {name: (idents, _plan(idents)) for name, idents in
+          {"four": FOUR_FAMILY, "two": TWO_FAMILY, "both": FOUR_FAMILY + TWO_FAMILY}.items()}
+
+
 def check_identities(
     T: TripleSystem, family: str = "both", cap: int = DEFAULT_IDENTITY_CAP
 ) -> IdentityReport:
@@ -277,50 +294,51 @@ def check_identities(
     Multilinearity makes basis tuples sufficient.  A term is nonzero only
     where its inner and outer triples are both keys, that is on the pairs of
     entries whose first target sits in the term's slot of the second, so the
-    cost follows their number, not dim**5.  Every scaled contribution is
-    added under one integer that spells (a, b, c, d, f, identity, target) in
-    mixed radix R = dim + 1, so one sort of the nonzero cells puts the
-    violations in (tuple, identity) order with targets ascending.  Checking
-    both families, two.2 is not joined: it has four.3's terms, so its cells
-    are four.3's, moved to its own identity digit.  The report keeps the
+    cost follows their number, not dim**5; a term whose slot no target
+    reaches is skipped.  Every scaled contribution is added under one
+    integer that spells (a, b, c, d, f, identity, target) in mixed radix
+    R = dim + 1, so one sort of the nonzero cells puts the violations in
+    (tuple, identity) order with targets ascending.  Checking both
+    families, two.2 is not joined: it has four.3's terms, so the plan
+    copies four.3's cells to its identity digit.  The report keeps the
     sorted cells, with numerators over the common denominator scale**2
     (scale clears the coefficients' denominators); its residuals and dense
     violations are decoded only when first read.  The dimension cap stays
     as a contract.
     """
-    if family not in ("four", "two", "both"):
+    if family not in _PLANS:
         raise ValueError(f"family must be 'four', 'two', or 'both', got {family!r}")
     if T.dim > cap:
         raise CapExceeded(
             f"dimension {T.dim} exceeds identity-check cap {cap}; raise the cap to force"
         )
-    idents = {"four": FOUR_FAMILY, "two": TWO_FAMILY, "both": FOUR_FAMILY + TWO_FAMILY}[family]
-    scale = math.lcm(*(c.denominator for c, _ in T.table.values()))
+    idents, plan = _PLANS[family]
+    scale = math.lcm(*[c.denominator for c, _ in T.table.values()])
     scaled = [(i, j, k, c.numerator * (scale // c.denominator), t) for i, j, k, c, t in T.entries]
     R, K = T.dim + 1, len(idents)
-    weight = [K * R ** (5 - p) for p in range(5)]  # of the 5-tuple positions a..f
+    weight = (K * R**5, K * R**4, K * R**3, K * R**2, K * R)  # of the 5-tuple positions a..f
     by_slot: tuple[dict[int, list[tuple[int, int, int, int]]], ...] = ({}, {}, {})
     for i, j, k, n, m in scaled:
         by_slot[0].setdefault(i, []).append((j, k, n, m))
         by_slot[1].setdefault(j, []).append((i, k, n, m))
         by_slot[2].setdefault(k, []).append((i, j, n, m))
-    seconds: dict[tuple[int, tuple[int, ...]], dict[int, list[tuple[int, int]]]] = {}
+    unreached = [*map({*map(itemgetter(4), scaled)}.isdisjoint, by_slot)]  # per slot: no target is a slot value
+    seconds: dict[tuple[int, int, int], dict[int, list[tuple[int, int]]]] = {}
     acc: dict[int, int] = {}
     get = acc.get
-    copies = {source: copy for copy, source in SAME_TERMS.items() if copy in idents and source in idents}
-    for at, ident in enumerate(idents):
-        if ident in copies.values():
-            continue  # its cells are copied from its source's
+    for at, terms, shift in plan:
         first = len(acc)  # the cells this identity adds are the dict's last ones
-        for sign, slot, inner, outer in IDENTITIES[ident]:
+        for sign, slot, o1, o2, p1, p2, p3 in terms:
+            if unreached[slot]:
+                continue
             # second entries by slot value, as (code of outer positions and target, n)
-            index = seconds.get((slot, outer))
+            index = seconds.get((slot, o1, o2))
             if index is None:
-                w, v = (weight[p] for p in outer)
-                index = seconds[slot, outer] = {
+                w, v = weight[o1], weight[o2]
+                index = seconds[slot, o1, o2] = {
                     t: [(u * w + y * v + m, n) for u, y, n, m in rows] for t, rows in by_slot[slot].items()
                 }
-            wi, wj, wk = (weight[p] for p in inner)
+            wi, wj, wk = weight[p1], weight[p2], weight[p3]
             for i, j, k, n1, t in scaled:
                 codes = index.get(t)
                 if codes:
@@ -329,9 +347,8 @@ def check_identities(
                     for low, n2 in codes:
                         key = base + low
                         acc[key] = get(key, 0) + n1 * n2
-        if ident in copies:
-            shift = (idents.index(copies[ident]) - at) * R  # to the copy's identity digit
-            acc.update({key + shift: n for key, n in islice(acc.items(), first, None)})
+        if shift:  # to the copy's identity digit
+            acc.update({key + shift * R: n for key, n in islice(acc.items(), first, None)})
     keys = sorted([key for key, n in acc.items() if n])
     return IdentityReport._from_cells(family, T.dim, scale * scale, idents, keys, list(map(acc.__getitem__, keys)))
 

@@ -1,4 +1,5 @@
 import inspect
+import io
 import random
 from fractions import Fraction
 
@@ -6,9 +7,11 @@ import pytest
 
 import trisys as ts
 from trisys import barred, plain
+from trisys.cli import run_command
 from conftest import (
     block_sum,
     check_orthogonal,
+    dense_check_identities,
     make_jacobson_a,
     make_jacobson_b,
     make_mutual_pair,
@@ -382,7 +385,8 @@ def test_minimal_criterion_counterexample_at_dim_equal_to_cap():
 def test_generic_split_modes_can_disagree_outside_verified_systems():
     # Not a Leibniz triple system: the deviation ideal is still valid, the
     # basis passes the mu test, and only the restricted criterion matches the
-    # exhaustive oracle.  Literal steps merge jset through an iset pair.
+    # exhaustive oracle.  Literal steps merge jset through an iset pair.  The
+    # modes also disagree on verified systems: see the ROADMAP item 18 shapes below.
     T = ts.construct_system(4, [(1, 3, 4, 1, 2), (2, 3, 4, 1, 1)])
     assert not ts.check_identities(T, "both").ok
     S = ts.split_system(T)
@@ -390,6 +394,62 @@ def test_generic_split_modes_can_disagree_outside_verified_systems():
     assert not minimality_oracle(S)
     assert ts.is_minimal(S, "literal").verdict == "minimal"
     assert ts.is_minimal(S, "restricted").verdict == "not_minimal"
+
+
+# ROADMAP item 18: two verified shapes on which the literal-mode criterion says
+# minimal and the exhaustive oracle does not.  Literal steps may pair an iset
+# index, so literal mode joins indices that restricted mode keeps apart.
+ITEM_18_SHAPES = {
+    # {x,j,j} = x for two indices x that share one jset index j: iset {1,3}, jset {2}
+    "shared-j": ("dim 3\nprod 1 2 2 = 1 * 1\nprod 3 2 2 = 1 * 3\n", (1,)),
+    # {1,a,b} = 1 for every a, b in jset {2,3}
+    "all-pairs": ("dim 3\n" + "".join(f"prod 1 {a} {b} = 1 * 1\n" for a in (2, 3) for b in (2, 3)), (1, 2)),
+}
+ITEM_18_LITERAL = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 18: the literal-mode criterion says minimal on a verified non-minimal system",
+)
+
+
+def _item_18_verdict(name, surface, mode, tmp_path):
+    """(verdict, counterexample) of a shape, from is_minimal or from the CLI's minimal and report output."""
+    text, _ = ITEM_18_SHAPES[name]
+    if surface == "library":
+        v = ts.is_minimal(split(ts.parse_system(text)), mode)
+        return v.verdict, v.counterexample_ideal
+    path = tmp_path / f"{name}.tri"
+    path.write_text(text, encoding="utf-8")
+    found = set()
+    for command in ("minimal", "report"):
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command([command, "--mode", mode, str(path)], out, err)
+        assert err.getvalue() == "" and code in ((0,) if command == "minimal" else (0, 1))  # report's decompose may fail
+        fields = dict(line.split(": ", 1) for line in out.getvalue().splitlines() if ": " in line)
+        ideal = fields.get("counterexample_ideal")
+        found.add((fields["verdict"], tuple(map(int, ideal.strip("{}").split(","))) if ideal else None))
+    assert len(found) == 1, found  # minimal and report's [minimal] section agree
+    return found.pop()
+
+
+@pytest.mark.parametrize("surface", ["library", "cli"])
+@pytest.mark.parametrize("name", sorted(ITEM_18_SHAPES))
+def test_item_18_shapes_are_verified_and_not_minimal(name, surface, tmp_path):
+    text, counterexample = ITEM_18_SHAPES[name]
+    T = ts.parse_system(text)
+    assert ts.check_identities(T).ok and dense_check_identities(T).ok
+    S = split(T)
+    assert ts.mu_multiplicativity_check(S)[0]
+    assert not minimality_oracle(S) and oracle_counterexample(S) == counterexample
+    assert _item_18_verdict(name, surface, "restricted", tmp_path) == ("not_minimal", counterexample)
+
+
+@ITEM_18_LITERAL
+@pytest.mark.parametrize("surface", ["library", "cli"])
+@pytest.mark.parametrize("name", sorted(ITEM_18_SHAPES))
+def test_item_18_literal_mode_matches_the_oracle(name, surface, tmp_path):
+    _, counterexample = ITEM_18_SHAPES[name]
+    assert _item_18_verdict(name, surface, "literal", tmp_path) == ("not_minimal", counterexample)
 
 
 # --- theorem-level properties ---------------------------------------------------------------

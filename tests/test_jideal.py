@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -259,6 +260,16 @@ def test_split_generic_accepts_declared_ideal():
     S = ts.split_basis(T, span_of(3, 2, 3))
     assert S.iset == (2, 3)
     assert S.mode == "generic"
+
+
+def test_split_jset_runs_between_iset_indices_equal_the_complement_scan():
+    # jset is chained from the runs between consecutive iset indices; it is the indices that iset lacks
+    rng = random.Random(103)
+    cases = [(1, ()), (1, (1,)), (7, ()), (7, tuple(range(1, 8))), (7, (1, 7)), (7, (2, 3, 6))]
+    cases += [(dim, tuple(sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim))))) for dim in range(1, 40)]
+    for dim, iset in cases:
+        S = ts.split_basis(make_zero_system(dim), ts.exactnum.coordinate_space(dim, iset))
+        assert S.iset == iset and S.jset == tuple(itertools.filterfalse(set(iset).__contains__, range(1, dim + 1)))
 
 
 def test_split_generic_rejects_non_ideal():

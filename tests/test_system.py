@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import types
 from fractions import Fraction
 
@@ -277,6 +279,67 @@ def test_identities_keep_order_in_wide_radix(dim, coeffs):
         assert got.residuals == tuple(moved) and got.denominator == want.denominator
         for _, _, r in got.residuals:
             assert all(m1 < m2 for (m1, _), (m2, _) in zip(r, r[1:])) and all(n for _, n in r)
+
+
+def _reached_slots(T):
+    """The slots s where some entry's target is the slot-s index of an entry: the terms the check joins."""
+    return {s for *_, t in T.entries for s in range(3) for e in T.entries if e[s] == t}
+
+
+def test_identity_plan_skips_unreached_slots_and_matches_dense_oracle():
+    # the check skips every term whose slot no target reaches, so tables that
+    # reach one slot only, or none, exercise each skip against the dense oracle
+    rng = random.Random(97)
+    found = {frozenset(): [make_zero_system(3)]}
+    while any(len(found.get(frozenset({s}), ())) < 4 for s in range(3)) or len(found[frozenset()]) < 4:
+        dim = rng.randint(2, 4)
+        T = random_table(rng, dim, rng.randint(1, 3), _RATIONAL)
+        found.setdefault(frozenset(_reached_slots(T)), []).append(T)
+    for reached in [frozenset(), *(frozenset({s}) for s in range(3))]:
+        for T in found[reached][:4]:
+            for family in ("four", "two", "both"):
+                report = ts.check_identities(T, family)
+                assert report == dense_check_identities(T, family), (sorted(reached), T, family)
+                assert reached or report.ok  # no joined pair: every term is zero
+    assert any(not ts.check_identities(T).ok for s in range(3) for T in found[frozenset({s})])
+
+
+def test_identity_plans_carry_no_state_between_calls():
+    # every family at every dim 1..12 in one process, then again in reverse order: the same cells
+    rng = random.Random(101)
+    tables = [random_table(rng, dim, rng.randint(dim, 3 * dim), _RATIONAL) for dim in range(1, 13)]
+    families = ("four", "two", "both")
+    first = [[ts.check_identities(T, family) for family in families] for T in tables]
+    for T, reports in reversed(list(zip(tables, first))):
+        for family, report in reversed(list(zip(families, reports))):
+            again = ts.check_identities(T, family)
+            assert (again._cells, again.denominator) == (report._cells, report.denominator), (T.dim, family)
+            if T.dim <= 4:
+                assert again == dense_check_identities(T, family), (T, family)
+    assert sum(not report.ok for reports in first for report in reports) > 12
+
+
+def test_same_terms_assertion_guards_the_compiled_plan(monkeypatch):
+    # both families join four.3 once and copy its cells to two.2's digit
+    idents, plan = ts.system._PLANS["both"]
+    assert [idents[at] for at, _, _ in plan] == ["four.1", "four.2", "four.3", "four.4", "two.1"]
+    assert [shift for _, _, shift in plan] == [0, 0, idents.index("two.2") - idents.index("four.3"), 0, 0]
+    assert [len(terms) for _, terms, _ in ts.system._PLANS["two"][1]] == [5, 5]  # two alone joins two.2
+    # a two.2 whose terms drift from four.3's stops the module at import, before a plan is compiled
+    source = inspect.getsource(ts.system)
+    same, drifted = "+(abf)cd -(abf)dc", "+(abf)cd +(abf)dc"
+    assert source.count(same) == 1
+
+    def load(text):
+        module = types.ModuleType("trisys._system_copy")
+        module.__package__ = "trisys"
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        exec(compile(text, ts.system.__file__, "exec"), vars(module))
+        return module
+
+    assert load(source)._PLANS == ts.system._PLANS
+    with pytest.raises(AssertionError, match="no longer have the same terms"):
+        load(source.replace(same, drifted))
 
 
 def test_identity_report_builds_violations_from_residuals():
