@@ -35,7 +35,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .exactnum import coordinate_space, rat_str
-from .fileformat import _is_int, _parsed_hash, content_hash, parse_leibniz, parse_system
+from .fileformat import _is_int, content_hash, parse_leibniz, parse_system
 from .fileformat import serialize_leibniz, serialize_system
 from .connect import partition
 from .jideal import check_annihilation, compute_jideal, split_basis, split_system
@@ -97,7 +97,8 @@ def _entry_doc(entry) -> list:
 def _parsed(command: str, name: str, text: str):
     """The file's system and its document header."""
     T = parse_system(text)
-    return T, {"command": command, "file": name, "hash": _parsed_hash(text, T), "dim": T.dim, "entries": len(T.entries)}
+    digest = content_hash(serialize_system(T))
+    return T, {"command": command, "file": name, "hash": digest, "dim": T.dim, "entries": len(T.entries)}
 
 
 def _split_for(T, args, witness=None):

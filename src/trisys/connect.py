@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalError, NotReversible
-from .exactnum import cached
+from .exactnum import _memo, cached
 from .jideal import SplitSystem
 
 PARTITION_MODES = ("literal", "restricted")
@@ -154,17 +154,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
 
 
-def _memo(S: SplitSystem, key: str, build):
-    """build(S), computed once per split and kept in its __dict__ beside in_i.
-
-    The dataclass fields, and so equality, hash and repr, do not see it.
-    """
-    memo = vars(S)
-    if key not in memo:
-        memo[key] = build(S)
-    return memo[key]
-
-
 MuStep = tuple[int, bool, int, int, int]  # (x, barred, p, q, y): y in mu(x, p, q), p <= q
 
 
@@ -217,7 +206,7 @@ def reachable(S: SplitSystem, k: int, mode: str = "literal") -> dict[int, Connec
     _check_mode(mode)
     if not 1 <= k <= S.sys.dim:
         raise IndexError(f"index {k} out of range 1..{S.sys.dim}")
-    steps = _memo(S, f"_ordered_steps_{mode}", lambda S: _ordered_steps(S, mode))
+    steps = _memo(S, f"_ordered_steps_{mode}", _ordered_steps, mode)
     found = {k: ConnectionWitness((plain(k),), k)}
     queue = deque([k])
     while queue:
@@ -304,7 +293,7 @@ def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     alone and cross-checked against the step closure.  Restricted mode is
     the step closure over the confined pair domain.
     """
-    return _memo(S, f"_partition_{mode}", lambda S: _partition(S, mode))
+    return _memo(S, f"_partition_{mode}", _partition, mode)
 
 
 def _partition(S: SplitSystem, mode: str) -> Partition:

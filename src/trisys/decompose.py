@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapExceeded, TheoremViolation
-from .jideal import SplitSystem, _successor_closure, _successors
+from .jideal import SplitSystem, _successor_closure
 from .connect import MarkedIndex, _entry_pass, partition
 from .system import Entry, TripleSystem
 
@@ -208,7 +208,7 @@ def _principal_counterexample(S: SplitSystem) -> tuple[int, ...] | None:
     x with cl(x) other than iset (else C, the union of its members'
     closures, would be iset), and cl(x) lies in C, so cl(x) = C.
     """
-    succ = _successors(S.sys)
+    succ = S.sys._successors
     best: tuple[int, ...] | None = None
     for x in range(1, S.sys.dim + 1):
         closed = tuple(_successor_closure(S.sys, (x,))[0]) if x in succ else (x,)

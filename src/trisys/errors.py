@@ -29,8 +29,8 @@ class CapExceeded(TriSysError):
 class NotLeibniz(TriSysError):
     """A bilinear bracket fails the Leibniz identity."""
 
-    def __init__(self, witness, message="bracket fails the Leibniz identity"):
-        super().__init__(f"{message} at basis triple {witness}")
+    def __init__(self, witness):
+        super().__init__(f"bracket fails the Leibniz identity at basis triple {witness}")
         self.witness = witness
 
 

@@ -57,6 +57,18 @@ class cached(cached_property):
         return self if instance is None else vars(instance).setdefault(self.attrname, self.func(instance))
 
 
+def _memo(obj, key: str, build, *args):
+    """build(obj, *args), computed once per object and kept in its __dict__ under key.
+
+    For a view of obj that another module derives.  The dataclass fields, and
+    so equality, hash and repr, do not see it.
+    """
+    memo = vars(obj)
+    if key not in memo:
+        memo[key] = build(obj, *args)
+    return memo[key]
+
+
 def basis_vector(dim: int, index: int) -> Vector:
     """Standard basis vector for a 1-based index."""
     if not 1 <= index <= dim:
@@ -106,13 +118,13 @@ class RowSpace:
 
     def basis_indices(self) -> tuple[int, ...] | None:
         """1-based indices when every row is a standard basis vector, else None; found once per space."""
-        memo = vars(self)
-        if "_basis" not in memo:  # coordinate_space records its indices there
-            # only coordinates that are not the shared ZERO object can be nonzero
-            nonzero = [[p + 1 for p in compress(count(), map(is_not, row, repeat(ZERO))) if row[p]]
-                       for row in self.rows]
-            memo["_basis"] = None if any(len(p) != 1 for p in nonzero) else tuple([p for p, in nonzero])
-        return memo["_basis"]
+        return self._basis
+
+    @cached
+    def _basis(self) -> tuple[int, ...] | None:  # coordinate_space records it
+        # only coordinates that are not the shared ZERO object can be nonzero
+        nonzero = [[p + 1 for p in compress(count(), map(is_not, row, repeat(ZERO))) if row[p]] for row in self.rows]
+        return None if any(len(p) != 1 for p in nonzero) else tuple([p for p, in nonzero])
 
 
 def _reduce(rows: tuple[Vector, ...], v: Vector) -> list[Fraction]:

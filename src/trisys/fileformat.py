@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from functools import lru_cache
 from itertools import chain
 from operator import lt
 
 from .errors import ParseError
-from .exactnum import _RAT_RE, rat_parse, rat_str
+from .exactnum import _RAT_RE, _memo, rat_parse, rat_str
 from .system import (
     BilinearTable,
     TripleSystem,
@@ -122,14 +121,14 @@ def _parse_body(text: str, kind: str):
     return dim, entries, labels or None
 
 
-@lru_cache(maxsize=1)  # _parsed_hash asks again for the text that parse_system was just given
 def _canonical_system(text: str) -> TripleSystem | None:
     """The system of a file that is exactly serialize_system's output, from one regex pass; None for any other text.
 
     That output is a 'dim N' line and entry lines only, with single spaces,
     integers without leading zeros, nonzero rat_str coefficients, strictly
     ascending keys, indices at most N and a final newline.  Declining is
-    always safe: parse_system then takes the general path.
+    always safe: parse_system then takes the general path.  The system
+    returned records text as its serialization.
     """
     head = _DIM_LINE.match(text)
     if head is None or text[-1] != "\n":
@@ -151,7 +150,9 @@ def _canonical_system(text: str) -> TripleSystem | None:
     if any(rat_str(f) != c for c, f in coeffs.items()):  # '2/4' or '3/1'
         return None
     entries = list(zip(*ijk, map(coeffs.__getitem__, C), ints[3 * n :]))  # a tuple at its exact size: see exactnum
-    return TripleSystem(dim, tuple(entries), (None,) * dim)
+    T = TripleSystem(dim, tuple(entries), (None,) * dim)
+    vars(T)["_text"] = text  # serialize_system's slot
+    return T
 
 
 def parse_system(text: str) -> TripleSystem:
@@ -169,40 +170,25 @@ def parse_leibniz(text: str) -> BilinearTable:
     return construct_bilinear(dim, entries, labels=labels)
 
 
-def _label_lines(labels) -> list[str]:
-    return [
-        f"label {i} {name}"
-        for i, name in enumerate(labels, start=1)
-        if name is not None
-    ]
+def _file_text(X: TripleSystem | BilinearTable, rows: list[str]) -> str:
+    """A file's dim line, its label lines, then its entry rows."""
+    labels = [f"label {i} {name}" for i, name in enumerate(X.labels, start=1) if name is not None]
+    return "\n".join([f"dim {X.dim}", *labels, *rows]) + "\n"
 
 
 def serialize_system(T: TripleSystem) -> str:
-    lines = [f"dim {T.dim}"]
-    lines += _label_lines(T.labels)
-    lines += [f"prod {i} {j} {k} = {rat_str(c)} * {m}" for i, j, k, c, m in T.entries]
-    return "\n".join(lines) + "\n"
+    """The canonical text of T, built once per system and kept on it."""
+    return _memo(T, "_text", _system_text)
+
+
+def _system_text(T: TripleSystem) -> str:
+    return _file_text(T, [f"prod {i} {j} {k} = {rat_str(c)} * {m}" for i, j, k, c, m in T.entries])
 
 
 def serialize_leibniz(L: BilinearTable) -> str:
-    lines = [f"dim {L.dim}"]
-    lines += _label_lines(L.labels)
-    lines += [f"brk {i} {j} = {rat_str(c)} * {m}" for i, j, c, m in L.entries]
-    return "\n".join(lines) + "\n"
+    return _file_text(L, [f"brk {i} {j} = {rat_str(c)} * {m}" for i, j, c, m in L.entries])
 
 
 def content_hash(canonical_text: str) -> str:
     """Short provenance hash of the canonical serialization."""
     return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()[:12]
-
-
-def _parsed_hash(text: str, T: TripleSystem) -> str:
-    """content_hash(serialize_system(T)) for T = parse_system(text), asked right after that call.
-
-    A text that parse_system took in one pass is that serialization, so it is
-    hashed as read; asking _canonical_system again reads the memo of that
-    call.  Clearing the memo then keeps the next parse of an equal text its own.
-    """
-    canonical = _canonical_system(text) is not None
-    _canonical_system.cache_clear()
-    return content_hash(text if canonical else serialize_system(T))

@@ -15,7 +15,6 @@ per round.  Any other subspace keeps the exact row-space closure.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,8 +78,8 @@ def _generator_items(T: TripleSystem) -> list[tuple[Key, Sparse]]:
     sums are of integer numerators over the common denominator `scale`, as in
     the identity check; a Fraction is built only for a nonzero coefficient.
     """
-    scale = math.lcm(*[c.denominator for c, _ in T.table.values()])
-    scaled = {key: (c.numerator * (scale // c.denominator), m) for key, (c, m) in T.table.items()}
+    scale, rows = T._scaled
+    scaled = {(i, j, k): (n, m) for i, j, k, n, m in rows}
     candidates = set()
     for p, q, r in scaled:
         candidates.update(((p, q, r), (p, r, q), (r, p, q)))
@@ -118,23 +117,13 @@ def _slot_products(T: TripleSystem, v: Vector, slots=(0, 1, 2)) -> list[Vector]:
     return [sparse_to_vector(T.dim, acc[p]) for p in sorted(acc) if acc[p]]
 
 
-def _successors(T: TripleSystem) -> dict[int, list[int]]:
-    """The entry digraph, x -> m for every entry with factor x and target m, built once per system."""
-    if "_successors" not in vars(T):
-        succ = vars(T)["_successors"] = {}
-        for key, (_, m) in T.table.items():
-            for x in key:
-                succ.setdefault(x, []).append(m)
-    return vars(T)["_successors"]
-
-
 def _successor_closure(T: TripleSystem, indices) -> tuple[list[int], int]:
-    """Indices reachable from `indices` in the entry digraph, sorted, and the closure rounds.
+    """Indices reachable from `indices` in the entry digraph T._successors, sorted, and the closure rounds.
 
     A closure round is one breadth-first layer; the rounds are the productive
     layers plus one, the round that adds nothing or starts at full rank.
     """
-    succ = _successors(T)
+    succ = T._successors
     seen = set(indices)
     layer, rounds = seen, 1
     while len(seen) < T.dim:

@@ -67,6 +67,22 @@ class TripleSystem:
     def table(self) -> dict[Key, Term]:
         return {(i, j, k): (c, m) for i, j, k, c, m in self.entries}
 
+    @cached
+    def _successors(self) -> dict[int, list[int]]:
+        """The entry digraph: x -> m for every entry with factor x and target m."""
+        succ: dict[int, list[int]] = {}
+        for i, j, k, _, m in self.entries:
+            for x in (i, j, k):
+                succ.setdefault(x, []).append(m)
+        return succ
+
+    @cached
+    def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+        """The coefficients' common denominator `scale`, and the entries (i, j, k, n, target) with n = coeff * scale."""
+        ratios = [c.as_integer_ratio() for _, _, _, c, _ in self.entries]
+        scale = math.lcm(*list(map(itemgetter(1), ratios)))  # from a list, at its exact size: see exactnum
+        return scale, tuple([(i, j, k, p * (scale // q), m) for (i, j, k, _, m), (p, q) in zip(self.entries, ratios)])
+
     def product(self, i: int, j: int, k: int) -> Term | None:
         """Basis product {b_i, b_j, b_k} as (coeff, target), or None if zero."""
         return self.table.get((i, j, k))
@@ -313,8 +329,7 @@ def check_identities(
             f"dimension {T.dim} exceeds identity-check cap {cap}; raise the cap to force"
         )
     idents, plan = _PLANS[family]
-    scale = math.lcm(*[c.denominator for c, _ in T.table.values()])
-    scaled = [(i, j, k, c.numerator * (scale // c.denominator), t) for i, j, k, c, t in T.entries]
+    scale, scaled = T._scaled
     R, K = T.dim + 1, len(idents)
     weight = (K * R**5, K * R**4, K * R**3, K * R**2, K * R)  # of the 5-tuple positions a..f
     by_slot: tuple[dict[int, list[tuple[int, int, int, int]]], ...] = ({}, {}, {})

@@ -5,8 +5,10 @@ every other file takes the general line walk.  Both give the same system,
 and every other file the same error, byte for byte.
 """
 
+import gc
 import io
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ import pytest
 import trisys as ts
 from trisys import cli, fileformat
 from conftest import random_broken_tables, random_table, random_verified_corpus
+
+NF3T = "dim 3\nprod 1 1 1 = 1 * 3\n"
 
 
 def general_parse(text):
@@ -126,7 +130,10 @@ def check_one_pass(text):
     expected = outcome(general_parse, text)
     assert outcome(ts.parse_system, text) == expected
     if fast is not None:
-        assert fast == expected and ts.serialize_system(fast) == text
+        # the text it accepted is recorded as its serialization, which an equal system built afresh writes
+        fresh = ts.construct_system(fast.dim, fast.entries)
+        assert vars(fast)["_text"] is text and "_text" not in vars(fresh)
+        assert fast == fresh == expected and ts.serialize_system(fresh) == text
         assert all(type(c) is Fraction for _, _, _, c, _ in fast.entries)
     if isinstance(expected, ts.TripleSystem):  # the header hashes the serialization either way
         _, header = cli._parsed("verify", "f", text)
@@ -207,10 +214,28 @@ def test_label_shape_and_missing_dim_are_parse_errors(tmp_path, text, message):
         assert _cli_stderr(tmp_path, command, text) == (2, "", f"error: {message}\n")
 
 
-def test_the_one_pass_memo_ends_with_the_op(tmp_path):
-    # _parsed_hash reads the memo of the op's parse_system call, then clears it: the next op parses its file again
+def test_two_parses_of_one_text_share_no_state(tmp_path, monkeypatch):
+    # each parse builds its own system and views; no cache keeps one past its op
+    for text in (NF3T, "dim 3\n# a comment\nprod 1 1 1 = 1 * 3\n"):
+        first, second = ts.parse_system(text), ts.parse_system(text)
+        assert first == second and first is not second
+        views = ("table", "_successors", "_scaled")
+        for v in views:
+            getattr(first, v)  # built on the first system only
+        assert set(views).isdisjoint(vars(second))
+        assert all(getattr(second, v) == getattr(first, v) and getattr(second, v) is not getattr(first, v) for v in views)
+    parsed, parse = [], cli.parse_system
+
+    def weakly_recorded(text):
+        T = parse(text)
+        parsed.append(weakref.ref(T))
+        return T
+
+    monkeypatch.setattr(cli, "parse_system", weakly_recorded)
     path = tmp_path / "nf3t.lts"
-    path.write_text("dim 3\nprod 1 1 1 = 1 * 3\n", encoding="utf-8")
-    for argv in (["verify", str(path)], ["report", "--json", str(path)]):
+    path.write_text(NF3T, encoding="utf-8")
+    for argv in (["verify", str(path)], ["report", "--json", str(path)], ["report", str(path)]):
         assert cli.run_command(argv, io.StringIO(), io.StringIO()) == 0
-        assert fileformat._canonical_system.cache_info().currsize == 0
+        gc.collect()
+        assert parsed[-1]() is None, argv
+    assert len(parsed) == 3

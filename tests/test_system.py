@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import sys
 import types
@@ -281,6 +282,21 @@ def test_identities_keep_order_in_wide_radix(dim, coeffs):
             assert all(m1 < m2 for (m1, _), (m2, _) in zip(r, r[1:])) and all(n for _, n in r)
 
 
+def test_scaled_rows_are_the_fraction_scaling():
+    # one as_integer_ratio per entry gives the common denominator and numerators that Fraction's properties give
+    rng = random.Random(27)
+    big = 2**64
+    coeffs = [F(-3), F(-7, 2), F(1, big), F(-(big - 1), big), F(big + 1, 3), F(5, big - 1), F(-1, 6)]
+    systems = [make_zero_system(4), make_jacobson_b(), *(random_table(rng, 4, 12, coeffs) for _ in range(20))]
+    systems.append(ts.construct_system(2, [(1, 1, 1, F(-rng.randrange(1, big), rng.randrange(1, big + 1)), 2)]))
+    for T in systems:
+        scale = math.lcm(*[c.denominator for _, _, _, c, _ in T.entries])
+        want = tuple([(i, j, k, c.numerator * (scale // c.denominator), m) for i, j, k, c, m in T.entries])
+        assert T._scaled == (scale, want) and all(F(n, scale) == c for (*_, n, _), (*_, c, _) in zip(want, T.entries))
+    assert make_zero_system(4)._scaled == (1, ())
+    assert any(T._scaled[0] >= big for T in systems) and any(n < 0 for T in systems for *_, n, _ in T._scaled[1])
+
+
 def _reached_slots(T):
     """The slots s where some entry's target is the slot-s index of an entry: the terms the check joins."""
     return {s for *_, t in T.entries for s in range(3) for e in T.entries if e[s] == t}
@@ -413,6 +429,7 @@ def test_lift_rejects_non_leibniz():
     with pytest.raises(ts.NotLeibniz) as exc:
         ts.lift_from_leibniz(L)
     assert exc.value.witness == (1, 1, 1)
+    assert str(exc.value) == "bracket fails the Leibniz identity at basis triple (1, 1, 1)"
 
 
 def test_lift_rejects_non_multiplicative():
