@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     ZeroCoefficient,
 )
-from .exactnum import coordinate_space, rat_str
+from .exactnum import rat_str
 from .fileformat import _is_int, content_hash, parse_leibniz, parse_system
 from .fileformat import serialize_leibniz, serialize_system
 from .connect import partition
@@ -85,7 +85,7 @@ def _parse_iset(text: str) -> tuple[int, ...]:
     if text in ("", "-"):
         return ()
     with contextlib.suppress(ValueError):
-        return tuple(sorted([_int(tok.strip()) for tok in text.split(",")]))
+        return tuple([_int(tok.strip()) for tok in text.split(",")])
     raise ValueError(f"expected a comma-separated index list, got {text!r}")
 
 
@@ -105,7 +105,7 @@ def _split_for(T, args, witness=None):
     generic = getattr(args, "generic", None)
     if generic is None:
         return split_system(T, witness)
-    return split_basis(T, coordinate_space(T.dim, dict.fromkeys(_parse_iset(generic))))
+    return split_basis(T, _parse_iset(generic))
 
 
 # --- report sections: built once per input and shared by the commands -------

@@ -57,7 +57,7 @@ class NotAdmissible(TriSysError):
 
 
 class InconsistentSplit(TriSysError):
-    """A split's iset and jset are not an ascending partition of 1..dim."""
+    """A split's iset is not strictly ascending within 1..dim."""
 
 
 class NotReversible(TriSysError):

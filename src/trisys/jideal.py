@@ -39,30 +39,34 @@ class IdealWitness:
 class SplitSystem:
     """A triple system with an adapted index split, checked on construction.
 
-    iset spans the ideal (computed by split_system, declared to split_basis),
-    jset a complement; both are ascending and partition 1..dim, else
-    InconsistentSplit.  The span of iset is an ideal whose slot-2 and slot-3
-    products all vanish, else NotAdmissible: no entry with a factor in iset
-    targets outside it, and none has slot 2 or 3 in iset.
+    iset spans the ideal (computed by split_system, declared to split_basis)
+    and is strictly ascending within 1..dim, else InconsistentSplit; jset, the
+    other indices, spans a complement.  The span of iset is an ideal whose
+    slot-2 and slot-3 products all vanish, else NotAdmissible: no entry with a
+    factor in iset targets outside it, and none has slot 2 or 3 in iset.
     """
 
     sys: TripleSystem
     iset: tuple[int, ...]
-    jset: tuple[int, ...]
     mode: str
 
     def __post_init__(self) -> None:
-        n, iset, jset, in_i = self.sys.dim, self.iset, self.jset, self.in_i
-        if len(iset) + len(jset) != n or not (_ascending(iset, n) and _ascending(jset, n) and in_i.isdisjoint(jset)):
-            raise InconsistentSplit(f"iset and jset are not an ascending partition of 1..{n}")
-        if any(m not in in_i and (i in in_i or j in in_i or k in in_i) for (i, j, k), (_, m) in self.sys.table.items()):
+        n, in_i = self.sys.dim, self.in_i  # with iset empty, no entry can break either law
+        if not _ascending(self.iset, n):
+            raise InconsistentSplit(f"iset is not strictly ascending within 1..{n}")
+        if in_i and any(m not in in_i and (i in in_i or j in in_i or k in in_i) for (i, j, k), (_, m) in self.sys.table.items()):
             raise NotAdmissible("declared subspace is not an ideal")
-        if not _annihilates(self.sys, in_i):
+        if in_i and not _annihilates(self.sys, in_i):
             raise NotAdmissible("ideal has a nonzero product in the second or third slot")
 
     @cached
     def in_i(self) -> frozenset[int]:
         return frozenset(self.iset)
+
+    @cached
+    def jset(self) -> tuple[int, ...]:  # the runs strictly between consecutive iset indices, 0 and dim + 1
+        t = self.iset
+        return tuple([*chain.from_iterable(map(range, map((1).__add__, chain((0,), t)), chain(t, (self.sys.dim + 1,))))])
 
 
 def _ascending(t: tuple[int, ...], n: int) -> bool:
@@ -204,30 +208,25 @@ def _annihilates(T: TripleSystem, inside: set[int]) -> bool:
     return inside.isdisjoint(chain.from_iterable(map(operator.itemgetter(1, 2), T.table)))
 
 
-def split_basis(T: TripleSystem, J: RowSpace) -> SplitSystem:
-    """Split the basis indices along a declared ideal spanned by basis vectors.
+def split_basis(T: TripleSystem, iset) -> SplitSystem:
+    """Split along a declared ideal, given by the indices of the basis vectors that span it.
 
-    Any caller-declared ideal is accepted as long as it is an ideal and its
-    slot-2/slot-3 products vanish; the split checks both laws on
+    Their order and repeats do not matter; an index outside 1..dim raises
+    IndexError.  Any declared ideal is accepted as long as it is an ideal and
+    its slot-2/slot-3 products vanish; the split checks both laws on
     construction, since the downstream connection machinery relies on them.
     """
-    if J.dim != T.dim:
-        raise DimensionError(f"subspace dimension {J.dim} does not match system dimension {T.dim}")
-    return _split(T, J, "generic")
-
-
-def _split(T: TripleSystem, J: RowSpace, mode: str) -> SplitSystem:
-    """Split along J, whose basis indices are derived once; the split checks the ideal laws itself."""
-    iset = J.basis_indices()
-    if iset is None:
-        bad = next(row for row in J.rows if sum(1 for c in row if c) != 1)
-        raise NotAdapted(bad)
-    iset = tuple(sorted(iset))
-    # jset: the runs of indices strictly between consecutive iset indices, bounded by 0 and dim + 1
-    jset = tuple([*chain.from_iterable(map(range, map((1).__add__, chain((0,), iset)), chain(iset, (T.dim + 1,))))])
-    return SplitSystem(T, iset, jset, mode)
+    iset = tuple(sorted(set(iset)))
+    if iset and not (iset[0] >= 1 and iset[-1] <= T.dim):
+        bad = next(i for i in iset if not 1 <= i <= T.dim)
+        raise IndexError(f"basis index {bad} out of range 1..{T.dim}")
+    return SplitSystem(T, iset, "generic")
 
 
 def split_system(T: TripleSystem, witness: IdealWitness | None = None) -> SplitSystem:
     """Split along the deviation ideal: witness if given (it must be compute_jideal(T)), else computed."""
-    return _split(T, (witness or compute_jideal(T)).subspace, "leibniz")
+    J = (witness or compute_jideal(T)).subspace
+    iset = J.basis_indices()
+    if iset is None:
+        raise NotAdapted(next(row for row in J.rows if sum(1 for c in row if c) != 1))
+    return SplitSystem(T, iset, "leibniz")

@@ -115,8 +115,8 @@ class IdentityReport:
     the dense `violations` are decoded from the cells when first read.  Built
     by hand from residuals, a report encodes them into cells once, in their
     order; each (identity, tuple) may appear once, with at least one target,
-    and tuple entries and targets are positive.  Reports compare by checked
-    and violations.
+    each target once and with a nonzero numerator, and tuple entries and
+    targets are positive.  Reports compare by checked and violations.
     """
 
     checked: str
@@ -135,8 +135,8 @@ class IdentityReport:
             cell = (((((a * R + b) * R + c) * R + d) * R + f) * K + idents.index(ident)) * R
             keys += [cell + m for m, _ in pairs]
             nums += [n for _, n in pairs]
-        if len({key // R for key in keys}) != len(residuals):
-            raise ValueError("an (identity, tuple) has two residuals")
+        if len({key // R for key in keys}) != len(residuals) or len(set(keys)) != len(keys) or not all(nums):
+            raise ValueError("an (identity, tuple) has two residuals, a target twice or a zero numerator")
         # the given residuals are kept, so they are not decoded again
         cells = (R, idents, keys, nums)
         vars(self).update(checked=checked, dim=dim, denominator=denominator, _cells=cells, residuals=residuals)

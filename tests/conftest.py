@@ -665,33 +665,22 @@ def minimality_oracle(S, cap=ts.decompose.DEFAULT_ORACLE_CAP):
 
 
 def random_arbitrary_draws(seed, count, max_dim=5, max_entries=6):
-    """(T, iset, jset) triples drawn at random: a random table, iset and jset.
-
-    Most of them do not fit their table; jset is the complement of iset half
-    the time and an independent random subset (overlapping iset or missing
-    indices) otherwise.
-    """
+    """(T, iset) pairs drawn at random: a random table and an ascending iset, most of which do not fit it."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         dim = rng.randint(1, max_dim)
         T = random_table(rng, dim, rng.randint(0, max_entries))
-        ids = range(1, dim + 1)
-        iset = tuple(i for i in ids if rng.random() < 0.4)
-        if rng.random() < 0.5:
-            jset = tuple(i for i in ids if i not in iset)
-        else:
-            jset = tuple(i for i in ids if rng.random() < 0.6)
-        out.append((T, iset, jset))
+        out.append((T, tuple(i for i in range(1, dim + 1) if rng.random() < 0.4)))
     return out
 
 
 def random_arbitrary_splits(seed, count, max_dim=5, max_entries=6):
     """The SplitSystems of count random_arbitrary_draws that construct: the draws that fit their table."""
     out = []
-    for T, iset, jset in random_arbitrary_draws(seed, count, max_dim, max_entries):
+    for T, iset in random_arbitrary_draws(seed, count, max_dim, max_entries):
         try:
-            out.append(ts.SplitSystem(T, iset, jset, "generic"))
-        except (ts.InconsistentSplit, ts.NotAdmissible):
+            out.append(ts.SplitSystem(T, iset, "generic"))
+        except ts.NotAdmissible:
             continue
     return out

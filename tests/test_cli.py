@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import io
 import json
 import os
@@ -748,22 +749,52 @@ def test_wide_generic_split_finishes_quickly(tmp_path):
     assert elapsed < 20, f"split --generic with 1,000 indices on a dim-2000 file took {elapsed:.1f} s"
 
 
-def test_generic_split_derives_the_basis_indices_once(tmp_path, monkeypatch):
-    # the ideal and annihilation checks read the indices _split derived, not the space again
+def test_generic_split_builds_no_unit_rows(tmp_path, monkeypatch):
+    # --generic hands the parsed indices to split_basis: no coordinate space and no basis vector is built
     calls = []
-    original = ts.RowSpace.basis_indices
-
-    def counted(self):
-        calls.append(self.rank)
-        return original(self)
-
-    monkeypatch.setattr(ts.RowSpace, "basis_indices", counted)
+    for module, name in ((ts.exactnum, "coordinate_space"), (ts.jideal, "coordinate_space"), (ts.exactnum, "basis_vector")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     wide = ",".join(str(i) for i in range(1, 1001))
     cases = [("dim 2000\n", wide, 0), (NF3T_TEXT, "3", 0), (NF3T_TEXT, "1", 1), (JA_TEXT, "2", 1), (JA_TEXT, "", 0)]
+    cases += [(NF3T_TEXT, "3,4", 2), (NF3T_TEXT, "-1", 2)]
     for text, iset, code in cases:
-        calls.clear()
-        assert run(["split", "--generic", iset, write(tmp_path, "t.lts", text)])[0] == code
-        assert len(calls) == 1, (text[:20], iset[:20], calls)
+        path = write(tmp_path, "t.lts", text)
+        for command in ("split", "decompose", "minimal"):
+            assert run([command, "--generic", iset, path])[0] == code, (command, text[:20], iset[:20])
+    assert calls == []
+
+
+# split and minimal --generic 1,...,4000 on wide20000.lts, the entry-free dim-20000 file below
+WIDE_GENERIC_SHA256 = {
+    "split": (108_974, "ad3043082a0f7bbc1a805ff74fb5b9f36e42fe278aee94697145f615c09bc238"),
+    "minimal": (156, "1ac76827250a236907ba5c63e396c19668b70294775e9610874d6f2e4eb3dcc0"),
+}
+
+
+def test_wide_generic_split_runs_under_256_mb(tmp_path):
+    # 4,000 dense unit rows of 20,000 coordinates would take ~630 MB; the split reads the indices alone
+    (tmp_path / "wide20000.lts").write_text("dim 20000\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(ts.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limited = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))\n"
+        "from trisys.cli import main\n"
+        "main()\n"
+    )
+    iset = ",".join(str(i) for i in range(1, 4001))
+    for command, (size, digest) in WIDE_GENERIC_SHA256.items():
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, command, "--generic", iset, "wide20000.lts"],
+            cwd=tmp_path,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr[-2000:]
+        assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == (size, digest), command
+        assert elapsed < 10, f"{command} --generic with 4,000 indices on a dim-20000 file took {elapsed:.1f} s"
 
 
 def test_generic_iset_repeats_and_order_do_not_matter(tmp_path):

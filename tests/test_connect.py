@@ -76,15 +76,15 @@ def test_map_a_jacobson(ja_split):
 def test_split_that_lies_about_the_ideal_is_refused_on_construction():
     # index 1 of the NF3 lift is not in its ideal: {v1,u1,u1} = v3 leaves the declared span
     with pytest.raises(ts.NotAdmissible, match="^declared subspace is not an ideal$"):
-        ts.SplitSystem(make_nf3_lift(), (1,), (2, 3), "generic")
+        ts.SplitSystem(make_nf3_lift(), (1,), "generic")
     # {v1,u3,u3} = v3 stays in span{v3} but has 3 in slot 2; nothing reaches 3 from 1,
     # and the split is refused all the same, before any connection is computed
     T = ts.construct_system(4, [(1, 2, 2, 1, 2), (1, 3, 3, 1, 3)])
     with pytest.raises(ts.NotAdmissible, match="^ideal has a nonzero product in the second or third slot$"):
-        ts.SplitSystem(T, (3,), (1, 2, 4), "generic")
-    for iset, jset in (((3,), (1, 2)), ((3,), (1, 2, 3, 4)), ((3,), (2, 1, 4)), ((), (1, 2, 3, 3))):
-        with pytest.raises(ts.InconsistentSplit):
-            ts.SplitSystem(T, iset, jset, "generic")
+        ts.SplitSystem(T, (3,), "generic")
+    for iset in ((3, 3), (4, 3), (0, 3), (3, 5)):
+        with pytest.raises(ts.InconsistentSplit, match=r"^iset is not strictly ascending within 1\.\.4$"):
+            ts.SplitSystem(T, iset, "generic")
 
 
 def test_map_b_nf3(nf3_split):
@@ -431,13 +431,14 @@ def test_entry_pass_matches_reference_steps_and_dense_check():
 
 def test_memo_leaves_fields_equality_hash_and_repr_alone():
     for S in random_split_systems(224, 40) + random_arbitrary_splits(225, 40):
-        fresh = ts.SplitSystem(S.sys, S.iset, S.jset, S.mode)
+        fresh = ts.SplitSystem(S.sys, S.iset, S.mode)
         before = ([f.name for f in dataclasses.fields(S)], hash(S), repr(S))
         for mode in MODES:
             ts.partition(S, mode)
             ts.reachable(S, 1, mode)
         ts.mu_multiplicativity_check(S)
-        assert {"_entry_pass", "_ordered_steps_literal", "_ordered_steps_restricted"} <= set(vars(S))
+        assert S.jset == tuple(i for i in range(1, S.sys.dim + 1) if i not in S.iset)
+        assert {"_entry_pass", "_ordered_steps_literal", "_ordered_steps_restricted", "jset"} <= set(vars(S))
         assert ([f.name for f in dataclasses.fields(S)], hash(S), repr(S)) == before
         assert S == fresh and fresh == S and hash(fresh) == hash(S)
         assert dataclasses.replace(S) == S

@@ -69,7 +69,7 @@ def test_components_equal_construct_system_of_their_entries():
     rng = random.Random(71)
     splits = [split(_labelled(T, rng)) for T in random_verified_corpus(72, 40, max_dim=8)]
     splits += random_split_systems(73, 60, max_dim=6, max_entries=6)
-    splits += [ts.SplitSystem(_labelled(S.sys, rng), S.iset, S.jset, S.mode) for S in random_arbitrary_splits(74, 400)]
+    splits += [ts.SplitSystem(_labelled(S.sys, rng), S.iset, S.mode) for S in random_arbitrary_splits(74, 400)]
     built = confined = 0
     for S in splits:
         for mode in ("literal", "restricted"):
@@ -106,7 +106,7 @@ def test_orthogonal_block_sum():
 
 def test_orthogonal_detects_mixing_entry():
     T = ts.construct_system(3, [(1, 1, 1, 1, 2), (1, 3, 3, 1, 1)])
-    S = ts.split_basis(T, ts.RowSpace(3))
+    S = ts.split_basis(T, ())
     zero1 = ts.construct_system(2, [])
     zero2 = ts.construct_system(1, [])
     c1 = ts.Component((1, 2), zero1, (), (1, 2))
@@ -142,7 +142,7 @@ def test_components_confinement_violation_restricted():
     # {e3,u1,u2}=e3 keeps span{e3} an admissible declared ideal, yet in
     # restricted mode the entry straddles the three singleton classes
     T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
-    S = ts.split_basis(T, ts.rowspace_from(3, [ts.basis_vector(3, 3)]))
+    S = ts.split_basis(T, (3,))
     assert ts.partition(S, "restricted").classes == ((1,), (2,), (3,))
     report = ts.check_decomposition(S, "restricted")
     assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
@@ -155,7 +155,7 @@ def test_components_confinement_violation_restricted():
 
 def test_decomposition_restricted_reports_violations():
     T = ts.construct_system(3, [(3, 1, 2, 1, 3)])
-    S = ts.split_basis(T, ts.rowspace_from(3, [ts.basis_vector(3, 3)]))
+    S = ts.split_basis(T, (3,))
     report = ts.check_decomposition(S, "restricted")
     assert not report.ok
     assert report.confinement_violations == ((3, 1, 2, F(1), 3),)
@@ -273,7 +273,7 @@ def test_oracle_dim1_zero_minimal():
 
 
 def _random_isets(seed, count, max_dim=9):
-    """SplitSystems over random tables of dim 1..max_dim, with a random iset and its complement.
+    """SplitSystems over random tables of dim 1..max_dim, each split along a random iset.
 
     Of count draws, only those whose iset fits the table construct and are kept.
     """
@@ -284,7 +284,7 @@ def _random_isets(seed, count, max_dim=9):
         T = random_table(rng, dim, rng.randint(0, 2 * dim))
         iset = tuple(i for i in range(1, dim + 1) if rng.random() < 0.3)
         try:
-            out.append(ts.SplitSystem(T, iset, tuple(i for i in range(1, dim + 1) if i not in iset), "generic"))
+            out.append(ts.SplitSystem(T, iset, "generic"))
         except ts.NotAdmissible:
             continue
     return out
@@ -496,7 +496,7 @@ def test_decomposition_partition_shared_with_is_minimal():
             assert shared_part == part
             # the verdict reads the decomposition's classes, and a fresh split gives the same one
             verdict = ts.is_minimal(S, mode)
-            assert ts.is_minimal(ts.SplitSystem(S.sys, S.iset, S.jset, S.mode), mode) == verdict
+            assert ts.is_minimal(ts.SplitSystem(S.sys, S.iset, S.mode), mode) == verdict
             assert verdict.i_connected == (len({shared_part.class_of[i] for i in S.iset}) <= 1)
             assert verdict.j_connected == (len({shared_part.class_of[j] for j in S.jset}) <= 1)
             # the other mode's partition leaves this mode's verdict alone

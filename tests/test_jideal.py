@@ -238,11 +238,9 @@ def test_split_not_adapted():
     T = make_unadapted()
     w = ts.compute_jideal(T)
     assert w.subspace.rows == ((F(1), F(1), F(0), F(0)),)
-    # the deviation ideal and the same ideal declared are refused alike
-    for make_split in (ts.split_system, lambda T: ts.split_basis(T, w.subspace)):
-        with pytest.raises(ts.NotAdapted) as exc:
-            make_split(T)
-        assert exc.value.row == (F(1), F(1), F(0), F(0))
+    with pytest.raises(ts.NotAdapted) as exc:
+        ts.split_system(T)
+    assert exc.value.row == (F(1), F(1), F(0), F(0))
 
 
 def test_annihilation_and_declared_split_refuse_a_subspace_of_another_dim():
@@ -251,13 +249,11 @@ def test_annihilation_and_declared_split_refuse_a_subspace_of_another_dim():
         message = f"^subspace dimension {J.dim} does not match system dimension 3$"
         with pytest.raises(ts.DimensionError, match=message):
             ts.check_annihilation(T, J)
-        with pytest.raises(ts.DimensionError, match=message):
-            ts.split_basis(T, J)
 
 
 def test_split_generic_accepts_declared_ideal():
     T = make_nf3_lift()
-    S = ts.split_basis(T, span_of(3, 2, 3))
+    S = ts.split_basis(T, (2, 3))
     assert S.iset == (2, 3)
     assert S.mode == "generic"
 
@@ -268,21 +264,21 @@ def test_split_jset_runs_between_iset_indices_equal_the_complement_scan():
     cases = [(1, ()), (1, (1,)), (7, ()), (7, tuple(range(1, 8))), (7, (1, 7)), (7, (2, 3, 6))]
     cases += [(dim, tuple(sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim))))) for dim in range(1, 40)]
     for dim, iset in cases:
-        S = ts.split_basis(make_zero_system(dim), ts.exactnum.coordinate_space(dim, iset))
+        S = ts.split_basis(make_zero_system(dim), iset)
         assert S.iset == iset and S.jset == tuple(itertools.filterfalse(set(iset).__contains__, range(1, dim + 1)))
 
 
 def test_split_generic_rejects_non_ideal():
     T = make_nf3_lift()
     with pytest.raises(ts.NotAdmissible):
-        ts.split_basis(T, span_of(3, 1))
+        ts.split_basis(T, (1,))
 
 
 def test_split_generic_rejects_annihilation_failure():
     # span{e1} is an ideal of {u1,u1,u1}=u1 but occupies slots 2 and 3
     T = ts.construct_system(2, [(1, 1, 1, 1, 1)])
     with pytest.raises(ts.NotAdmissible):
-        ts.split_basis(T, span_of(2, 1))
+        ts.split_basis(T, (1,))
 
 
 def test_random_split_corpus_valid():
@@ -296,11 +292,10 @@ def test_random_split_corpus_valid():
         assert ts.check_annihilation(S.sys, space)
 
 
-def _expected_refusal(T, iset, jset):
-    """The error a split of T along iset and jset must raise, from entry-level predicates, or None."""
-    ascending = iset == tuple(sorted(set(iset))) and jset == tuple(sorted(set(jset)))
-    if not ascending or sorted(iset + jset) != list(range(1, T.dim + 1)):
-        return ts.InconsistentSplit, None
+def _expected_refusal(T, iset):
+    """The error a split of T along iset must raise, from entry-level predicates, or None."""
+    if iset != tuple(sorted(set(iset))) or not set(iset) <= set(range(1, T.dim + 1)):
+        return ts.InconsistentSplit, f"iset is not strictly ascending within 1..{T.dim}"
     inside = set(iset)
     if any(m not in inside and inside & {i, j, k} for (i, j, k), (_, m) in T.table.items()):
         return ts.NotAdmissible, "declared subspace is not an ideal"
@@ -309,29 +304,45 @@ def _expected_refusal(T, iset, jset):
     return None
 
 
+def _malformed(iset, dim):
+    """iset with 0 or dim + 1 added, with a repeat, and descending: none is strictly ascending within 1..dim."""
+    out = [(0, *iset), (*iset, dim + 1)]
+    if iset:
+        out.append((*iset, iset[-1]))
+    if len(iset) > 1:
+        out.append(iset[::-1])
+    return out
+
+
 def test_split_checks_partition_ideal_and_annihilation_on_construction():
+    rng = random.Random(252)
     accepted = refused = 0
-    for T, iset, drawn in random_arbitrary_draws(251, 6000):
-        for jset in (drawn, drawn[::-1]) if len(drawn) > 1 else (drawn,):
-            want = _expected_refusal(T, iset, jset)
+    for T, drawn in random_arbitrary_draws(251, 6000):
+        for iset in (drawn, *_malformed(drawn, T.dim)):
+            want = _expected_refusal(T, iset)
             if want is None:
-                S = ts.SplitSystem(T, iset, jset, "generic")
+                S = ts.SplitSystem(T, iset, "generic")
                 # every entry fits the split: the reference step scan finds no fault
                 assert reference_steps(S, "literal")[1] == reference_steps(S, "restricted")[1] == {}, S
                 accepted += 1
             else:
                 with pytest.raises(want[0]) as exc:
-                    ts.SplitSystem(T, iset, jset, "generic")
-                if want[1] is not None:
-                    assert str(exc.value) == want[1]
+                    ts.SplitSystem(T, iset, "generic")
+                assert str(exc.value) == want[1]
                 refused += 1
-            if want is None or want[0] is ts.NotAdmissible:
-                # split_basis builds the same split from the span of iset, or refuses it with the same message
-                try:
-                    got = ts.split_basis(T, span_of(T.dim, *iset))
-                except ts.NotAdmissible as err:
-                    got = str(err)
-                assert got == (S if want is None else want[1]), (T, iset, jset)
+        # split_basis builds the same split from the drawn iset shuffled and with repeats, or refuses it alike
+        messy = [*drawn, *rng.choices(drawn, k=len(drawn) // 2)]
+        rng.shuffle(messy)
+        want = _expected_refusal(T, drawn)
+        try:
+            got = ts.split_basis(T, messy)
+        except ts.NotAdmissible as err:
+            got = str(err)
+        assert got == (S if want is None else want[1]), (T, drawn, messy)
+        # and refuses an index outside 1..dim with basis_vector's message, naming the least such index
+        outside = rng.sample((-1, 0, T.dim + 1, T.dim + 2), rng.randint(1, 2))
+        with pytest.raises(IndexError, match=rf"^basis index {min(outside)} out of range 1\.\.{T.dim}$"):
+            ts.split_basis(T, [*messy, *outside])
     assert accepted >= 1000 and refused >= 1000, (accepted, refused)
 
 

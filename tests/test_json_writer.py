@@ -458,8 +458,12 @@ def test_hand_built_reports_equal_computed_ones():
         [("four.1", (1, 2, 3, 4, 5), ((-1, 1),))],  # negative target
         [("four.1", (1, 2, 3, 4), ((1, 1),))],  # not a 5-tuple
         [("four.1", (1, 2, 3, 4, 5), ((1, 1),)), ("four.2", (1, 2, 3, 4, 5), ((1, 1),)), ("four.1", (1, 2, 3, 4, 5), ((2, 1),))],
+        [("four.1", (1, 2, 3, 4, 5), ((1, 1), (1, 2)))],  # one target twice: a duplicate JSON key
+        [("four.1", (1, 2, 3, 4, 5), ((2, 1),)), ("four.2", (1, 2, 3, 4, 5), ((3, 1), (3, 1)))],
+        [("four.1", (1, 2, 3, 4, 5), ((1, 0),))],  # a zero residual: no violation
+        [("four.1", (1, 2, 3, 4, 5), ((1, 1), (2, Fraction(0))))],
     ],
-    ids=["empty", "zero", "negative", "short", "twice"],
+    ids=["empty", "zero", "negative", "short", "twice", "target-twice", "target-twice-later", "zero-numerator", "zero-fraction"],
 )
 def test_malformed_hand_built_residuals_are_refused(residuals):
     with pytest.raises(ValueError):

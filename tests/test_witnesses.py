@@ -252,7 +252,7 @@ def test_classes_and_mu_violations_replay(tmp_path):
     # ISETs drawn raw: most are refused, which keeps the CLI's NotAdmissible documents covered
     inputs += [
         (ts.serialize_system(T), ("--generic", ",".join(map(str, iset))))
-        for T, iset, _ in random_arbitrary_draws(243, 300)
+        for T, iset in random_arbitrary_draws(243, 300)
         if iset
     ]
     for n, (text, flags) in enumerate(inputs):
@@ -270,7 +270,7 @@ def test_classes_and_mu_violations_replay(tmp_path):
 
 
 def test_jideal_rows_certify_the_deviation_ideal(tmp_path):
-    systems = corpus_systems() + random_broken_tables(251, 150) + [T for T, _, _ in random_arbitrary_draws(243, 300)]
+    systems = corpus_systems() + random_broken_tables(251, 150) + [T for T, _ in random_arbitrary_draws(243, 300)]
     # beside a verified block, relabelled: the unadapted system, whose ideal span{c1 e1 + c2 e2} no basis
     # subset spans, and a system whose generator span{c2 e1 + c1 e2} is no ideal, so the closure grows
     rng = random.Random(252)
