@@ -133,7 +133,7 @@ def _jideal_section(T, witness) -> dict:
 
 
 def _split_section(S) -> dict:
-    return {"mode": S.mode, "iset": list(S.iset), "jset": list(S.jset)}
+    return {"mode": S.mode, "iset": S.iset, "jset": S.jset}
 
 
 def _decompose_section(S, args) -> tuple[int, dict]:
@@ -143,21 +143,14 @@ def _decompose_section(S, args) -> tuple[int, dict]:
     classes = tuple([comp.indices for comp in report.components])
     other = "restricted" if args.mode == "literal" else "literal"
     section = {
-        "classes": [list(cls) for cls in classes],
+        "classes": classes,
         "components": [
-            {
-                "indices": list(comp.indices),
-                "iset": list(comp.iset_part),
-                "jset": list(comp.jset_part),
-                "entries": [
-                    _entry_doc((comp.indices[i - 1], comp.indices[j - 1], comp.indices[k - 1], c, comp.indices[m - 1]))
-                    for i, j, k, c, m in comp.subsystem.entries
-                ],
-            }
+            {"indices": comp.indices, "iset": comp.iset_part, "jset": comp.jset_part,
+             "entries": [*map(_entry_doc, comp.entries)]}
             for comp in report.components
         ],
         "orthogonality": report.orthogonality,
-        "ideals": list(report.ideal_flags),
+        "ideals": report.ideal_flags,
         "covers": report.covers,
         "confinement_violations": [_entry_doc(e) for e in report.confinement_violations],
         "modes_agree": classes == partition(S, other).classes,
@@ -175,9 +168,7 @@ def _minimal_section(S, args) -> dict:
         "j_connected": verdict.j_connected,
         "oracle_used": verdict.oracle_used,
         "verdict": verdict.verdict,
-        "counterexample_ideal": (
-            list(verdict.counterexample_ideal) if verdict.counterexample_ideal else None
-        ),
+        "counterexample_ideal": verdict.counterexample_ideal,
     }
 
 

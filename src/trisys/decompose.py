@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .errors import CapExceeded, TheoremViolation
 from .jideal import SplitSystem, _successor_closure
 from .connect import MarkedIndex, _entry_pass, partition
+from .exactnum import cached
 from .system import Entry, TripleSystem
 
 DEFAULT_ORACLE_CAP = 12
@@ -33,16 +34,23 @@ DEFAULT_ORACLE_CAP = 12
 
 @dataclass(frozen=True)
 class Component:
-    """One connection class with its re-indexed subsystem.
-
-    indices maps local basis position p (1-based) to parent index
-    indices[p-1], so round-trips between the two index sets are exact.
+    """One connection class in its parent's indices: the parent's entries inside it, in the parent's order,
+    and its indices' labels.  subsystem, built when first read, renumbers it: local basis position p
+    (1-based) is parent index indices[p-1], so round-trips between the two index sets are exact.
     """
 
     indices: tuple[int, ...]
-    subsystem: TripleSystem
+    entries: tuple[Entry, ...]
+    labels: tuple[str | None, ...]
     iset_part: tuple[int, ...]
     jset_part: tuple[int, ...]
+
+    @cached
+    def subsystem(self) -> TripleSystem:
+        # the parent's entries are validated and sorted by key, and renumbering is monotone: no construct_system pass
+        local = {parent: pos for pos, parent in enumerate(self.indices, 1)}
+        entries = [(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in self.entries]
+        return TripleSystem(len(self.indices), tuple(entries), self.labels)
 
 
 @dataclass(frozen=True)
@@ -82,17 +90,6 @@ class MinimalityVerdict:
     counterexample_ideal: tuple[int, ...] | None = None
 
 
-def _build_component(S: SplitSystem, cls: tuple[int, ...], entries: list[Entry]) -> Component:
-    # the parent's entries are validated and sorted by key, and the local
-    # numbering is monotone, so they need no construct_system pass
-    if entries:
-        local = {parent: pos for pos, parent in enumerate(cls, 1)}
-        entries = [(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in entries]
-    labels, inside = S.sys.labels, S.in_i.__contains__
-    sub = TripleSystem(len(cls), tuple(entries), tuple([labels[parent - 1] for parent in cls]))
-    return Component(cls, sub, tuple([*filter(inside, cls)]), tuple([*itertools.filterfalse(inside, cls)]))
-
-
 def _components(S: SplitSystem, mode: str) -> tuple[list[Component], list[Entry], list[list[int]]]:
     """partition(S, mode)'s components, the entries straddling its classes, and their classes' positions.
 
@@ -110,7 +107,10 @@ def _components(S: SplitSystem, mode: str) -> tuple[list[Component], list[Entry]
         else:
             straddlers.append((i, j, k, c, m))
             places.append(where)
-    return [_build_component(S, cls, entries) for cls, entries in zip(part.classes, buckets)], straddlers, places
+    labels, inside = S.sys.labels, S.in_i.__contains__
+    comps = [Component(cls, tuple(entries), tuple([labels[p - 1] for p in cls]), tuple([*filter(inside, cls)]),
+                       tuple([*itertools.filterfalse(inside, cls)])) for cls, entries in zip(part.classes, buckets)]
+    return comps, straddlers, places
 
 
 def check_decomposition(S: SplitSystem, mode: str = "literal") -> DecompositionReport:

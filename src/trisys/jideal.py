@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import DimensionError, InconsistentSplit, NotAdapted, NotAdmissible
 from .exactnum import (RowSpace, Sparse, Vector, cached, coordinate_space, rowspace_from, sparse_add,
@@ -54,7 +54,7 @@ class SplitSystem:
         n, in_i = self.sys.dim, self.in_i  # with iset empty, no entry can break either law
         if not _ascending(self.iset, n):
             raise InconsistentSplit(f"iset is not strictly ascending within 1..{n}")
-        if in_i and any(m not in in_i and (i in in_i or j in in_i or k in in_i) for (i, j, k), (_, m) in self.sys.table.items()):
+        if in_i and not in_i.issuperset(chain.from_iterable(map(self.sys._successors.get, self.iset, repeat(())))):
             raise NotAdmissible("declared subspace is not an ideal")
         if in_i and not _annihilates(self.sys, in_i):
             raise NotAdmissible("ideal has a nonzero product in the second or third slot")

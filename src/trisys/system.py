@@ -116,7 +116,8 @@ class IdentityReport:
     by hand from residuals, a report encodes them into cells once, in their
     order; each (identity, tuple) may appear once, with at least one target,
     each target once and with a nonzero numerator, and tuple entries and
-    targets are positive.  Reports compare by checked and violations.
+    targets are positive.  Reports compare by checked and by their residuals'
+    exact values, and by dim when they have a residual.
     """
 
     checked: str
@@ -184,11 +185,16 @@ class IdentityReport:
     def ok(self) -> bool:
         return not self._cells[2]
 
+    def _key(self):
+        den = self.denominator
+        residuals = tuple([(i, t, frozenset([(m, Fraction(n, den)) for m, n in r])) for i, t, r in self.residuals])
+        return self.checked, self.dim if residuals else None, residuals
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, IdentityReport) and (self.checked, self.violations) == (other.checked, other.violations)
+        return isinstance(other, IdentityReport) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.checked, self.violations))
+        return hash(self._key())
 
 
 def construct_system(dim: int, entries: Iterable[Sequence], labels=None) -> TripleSystem:

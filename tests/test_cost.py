@@ -16,14 +16,14 @@ from trisys import cli
 from trisys.cli import run_command
 from conftest import block_sum, make_jacobson_a, make_nf3_lift
 
-# The calls of `report` on an empty dim-4 file on CPython 3.10 and 3.11.
+# The calls of `report` on an empty dim-4 file on CPython 3.11.7.
 # CPython 3.12 and later inline comprehensions and make fewer.
-EMPTY_REPORT_CALLS = 175
+EMPTY_REPORT_CALLS = 160
 # Likewise, the calls of `report` on the one-entry file NF3T and of
 # `decompose` on the block sum of the Jacobson system A and NF3T.
 NF3T = "dim 3\nprod 1 1 1 = 1 * 3\n"
-NF3T_REPORT_CALLS = 190
-BLOCK_SUM_DECOMPOSE_CALLS = 167
+NF3T_REPORT_CALLS = 179
+BLOCK_SUM_DECOMPOSE_CALLS = 147
 
 
 def count_calls(fn, *args):
@@ -97,3 +97,19 @@ def test_report_builds_the_entry_digraph_and_the_integer_rows_once(tmp_path, mon
                 systems.clear()
             assert run_command(["report", *json_flag, str(path)], io.StringIO(), io.StringIO()) == 0
             assert len(parsed) == 1 and all(len(s) == 1 and s[0] is parsed[0] for s in built.values()), text
+
+
+def test_decompose_and_report_build_no_component_subsystem(tmp_path, monkeypatch):
+    # the sections write each component's entries in the parent's indices, so no class is re-indexed
+    built = []
+    view = ts.Component.subsystem
+    monkeypatch.setattr(view, "func", lambda comp, build=view.func: built.append(comp) or build(comp))
+    summed = ts.serialize_system(block_sum(make_jacobson_a(), make_nf3_lift()))
+    for n, text in enumerate((NF3T, summed, "dim 4\n", "dim 6\nprod 5 2 6 = 1 * 5\n")):
+        path = tmp_path / f"{n}.tri"
+        path.write_text(text, encoding="utf-8")
+        for command in ("decompose", "report"):
+            for flags in ((), ("--json",), ("--mode", "restricted"), ("--json", "--mode", "restricted")):
+                out = io.StringIO()
+                assert run_command([command, *flags, str(path)], out, io.StringIO()) in (0, 1)
+                assert "component" in out.getvalue() and not built, (text, command, flags)

@@ -77,12 +77,12 @@ def test_components_equal_construct_system_of_their_entries():
             confined += bool(report.confinement_violations)
             for comp in report.components:
                 local = {parent: pos for pos, parent in enumerate(comp.indices, 1)}
-                entries = [
-                    (local[i], local[j], local[k], c, local[m])
-                    for i, j, k, c, m in S.sys.entries
-                    if {i, j, k, m} <= local.keys()
-                ]
+                inside = [(i, j, k, c, m) for i, j, k, c, m in S.sys.entries if {i, j, k, m} <= local.keys()]
+                assert comp.entries == tuple(inside)  # the parent's indices, in the parent's order
+                assert comp.labels == tuple([S.sys.labels[p - 1] for p in comp.indices])
+                entries = [(local[i], local[j], local[k], c, local[m]) for i, j, k, c, m in inside]
                 labels = {local[p]: S.sys.labels[p - 1] for p in comp.indices if S.sys.labels[p - 1] is not None}
+                assert "subsystem" not in vars(comp)  # built when first read
                 assert comp.subsystem == ts.construct_system(len(comp.indices), entries, labels=labels)
                 built += 1
     assert built > 1000 and confined > 20
@@ -107,10 +107,8 @@ def test_orthogonal_block_sum():
 def test_orthogonal_detects_mixing_entry():
     T = ts.construct_system(3, [(1, 1, 1, 1, 2), (1, 3, 3, 1, 1)])
     S = ts.split_basis(T, ())
-    zero1 = ts.construct_system(2, [])
-    zero2 = ts.construct_system(1, [])
-    c1 = ts.Component((1, 2), zero1, (), (1, 2))
-    c2 = ts.Component((3,), zero2, (), (3,))
+    c1 = ts.Component((1, 2), (), (None, None), (), (1, 2))
+    c2 = ts.Component((3,), (), (None,), (), (3,))
     assert not check_orthogonal(S, c1, c2)
 
 

@@ -367,6 +367,11 @@ def test_identity_report_builds_violations_from_residuals():
     assert report == same and hash(report) == hash(same)
     assert report != ts.IdentityReport("both", same.residuals, 3) and report != ("four", (v,))
     assert not report.ok and ts.IdentityReport("two", (), 3).ok
+    # reports compare by their residuals, so a target beyond dim, as a hand-built report may hold, compares too
+    wide = ts.IdentityReport("four", (("four.1", (1, 2, 3, 4, 5), ((7, 1),)),), 5)
+    assert wide == wide and hash(wide) == hash(ts.IdentityReport("four", wide.residuals, 5))
+    assert wide != ts.IdentityReport("four", wide.residuals, 8) and "violations" not in vars(wide)
+    assert ts.IdentityReport("four", (), 3) == ts.IdentityReport("four", (), 5)
 
 
 def test_identities_family_validation():
