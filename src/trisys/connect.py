@@ -12,18 +12,18 @@ by construction.  Restricted mode confines pairs to jset indices and their
 bars; it is the domain on which connections are reversible.
 
 The basis is multiplicative and a split fits every entry, so each entry
-gives mu-steps and nothing else.  One memoized pass over the entries records,
-per split, the labeled steps of both pair domains.  The partitions union the
-steps' ends, the mu check looks the restricted steps up among the products,
-and reachability sorts its domain's steps by source for its witnesses.  The
-pointwise maps replay witnesses.
+gives mu-steps and nothing else.  The partitions union the plain steps, the
+entry digraph's edges factor -> target, straight from the entries.  Labeled
+steps are scanned per domain and split where a label is read: the mu check
+looks the restricted ones up among the products, and reachability sorts its
+domain's by source for witnesses, which the pointwise maps replay.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -157,41 +157,36 @@ def _check_mode(mode: str) -> None:
 MuStep = tuple[int, bool, int, int, int]  # (x, barred, p, q, y): y in mu(x, p, q), p <= q
 
 
-def _scan_entries(S: SplitSystem) -> dict[str, set[MuStep]]:
-    """Each mode's nonzero mu-steps, once each with the pair ascending (mu is symmetric in it).
+def _scan_entries(S: SplitSystem, mode: str) -> set[MuStep]:
+    """The mode's nonzero mu-steps, once each with the pair ascending (mu is symmetric in it).
 
     Each entry (i,j,k) -> m, slot by slot as (s, a, b), gives the plain step
     s -(a,b)-> m in literal mode, and in restricted mode too when a, b lie in
     jset; then also the barred step m -(a',b')-> s (map_b) in both domains.
     """
-    in_i = S.in_i
-    literal: set[MuStep] = set()
-    restricted: set[MuStep] = set()
+    in_i, literal = S.in_i, mode == "literal"
+    steps: set[MuStep] = set()
     for (i, j, k), (_, m) in S.sys.table.items():
         for s, a, b in ((i, j, k), (j, i, k), (k, i, j)):
             if b < a:
                 a, b = b, a
-            literal.add((s, False, a, b, m))
             if a not in in_i and b not in in_i:  # the entry's indices lie in 1..dim, so outside iset is jset
-                restricted.add((s, False, a, b, m))
-                literal.add((m, True, a, b, s))
-                restricted.add((m, True, a, b, s))
-    return {"literal": literal, "restricted": restricted}
-
-
-def _entry_pass(S: SplitSystem) -> dict[str, set[MuStep]]:
-    return _memo(S, "_entry_pass", _scan_entries)
+                steps.add((s, False, a, b, m))
+                steps.add((m, True, a, b, s))
+            elif literal:
+                steps.add((s, False, a, b, m))
+    return steps
 
 
 def _ordered_steps(S: SplitSystem, mode: str) -> dict[int, list[tuple[bool, int, int, int]]]:
     """The mode's steps (barred, p, q, y) of each source, in the pointwise scan's order.
 
     That order is plain pairs, then barred, each lexicographic, y ascending.
-    The pass keeps each step as p <= q only, which loses no witness: the
+    The scan keeps each step as p <= q only, which loses no witness: the
     least label (barred, p, q) of a step x -> y has p <= q.
     """
     out: dict[int, list[tuple[bool, int, int, int]]] = {}
-    for x, b, p, q, y in sorted(_entry_pass(S)[mode]):
+    for x, b, p, q, y in sorted(_memo(S, f"_steps_{mode}", _scan_entries, mode)):
         out.setdefault(x, []).append((b, p, q, y))
     return out
 
@@ -286,8 +281,8 @@ def partition(S: SplitSystem, mode: str = "literal") -> Partition:
     """Connection classes of the index set, computed once per split and mode.
 
     The step closure joins each index with the targets of its plain
-    mu-steps, read off the split's entry pass; a barred step joins the same
-    two indices as its entry's plain step.  Literal mode
+    mu-steps, the entry digraph's edges factor -> target; a barred step
+    joins the same two indices as its entry's plain step.  Literal mode
     equals the connected components of the hypergraph with one hyperedge
     {i, j, k, target} per table entry; those are computed from the entries
     alone and cross-checked against the step closure.  Restricted mode is
@@ -298,11 +293,15 @@ def partition(S: SplitSystem, mode: str = "literal") -> Partition:
 
 def _partition(S: SplitSystem, mode: str) -> Partition:
     _check_mode(mode)
-    n = S.sys.dim
-    closure = _components(n, map(itemgetter(0, 4), filterfalse(itemgetter(1), _entry_pass(S)[mode])))  # plain steps
+    n, entries = S.sys.dim, S.sys.entries
+    # the plain steps are the entry digraph's edges factor -> target; an iset index sits in slot one only,
+    # so the restricted domain drops slots two and three of an entry whose slot one lies in iset
+    free = [e for e in entries if e[0] not in S.in_i] if mode == "restricted" and S.in_i else entries
+    steps = chain(map(itemgetter(0, 4), entries), map(itemgetter(1, 4), free), map(itemgetter(2, 4), free))
+    closure = _components(n, steps)
     if mode == "restricted":
         return Partition(closure, mode)
-    hyper = _components(n, chain(*[map(itemgetter(0, p), S.sys.entries) for p in (1, 2, 4)]))  # i-j, i-k, i-target
+    hyper = _components(n, chain(*[map(itemgetter(0, p), entries) for p in (1, 2, 4)]))  # i-j, i-k, i-target
     if hyper != closure:
         raise InternalError(
             f"hyperedge components {hyper} disagree with step closure {closure}"

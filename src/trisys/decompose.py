@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, TheoremViolation
 from .jideal import SplitSystem, _successor_closure
-from .connect import MarkedIndex, _entry_pass, partition
-from .exactnum import cached
+from .connect import MarkedIndex, _scan_entries, partition
+from .exactnum import _memo, cached
 from .system import Entry, TripleSystem
 
 DEFAULT_ORACLE_CAP = 12
@@ -154,9 +154,9 @@ def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]
     the first failure is the least violating step, with s1 <= s2 since both
     orders fail together.
 
-    Costs the split's memoized entry pass, one set of the steps the table's
-    products realize (two per entry) and one set difference against the
-    pass's restricted steps; a plain step from slot one is its own entry's
+    Costs the split's restricted steps, scanned once per split, one set of
+    the steps the table's products realize (two per entry) and one set
+    difference against them; a plain step from slot one is its own entry's
     product, so it never fails.  Unlike a scan that stops at the first
     failure, it visits every entry.
     """
@@ -166,7 +166,7 @@ def mu_multiplicativity_check(S: SplitSystem) -> tuple[bool, MuViolation | None]
         for (i, j, k), (_, m) in S.sys.table.items()
         for b in (False, True)
     }
-    first = min(_entry_pass(S)["restricted"] - realized, default=None)
+    first = min(_memo(S, "_steps_restricted", _scan_entries, "restricted") - realized, default=None)
     if first is None:
         return True, None
     t1, b, s1, s2, t2 = first

@@ -896,22 +896,26 @@ def test_report_partitions_each_mode_once(tmp_path, monkeypatch):
 
 
 def test_each_command_scans_the_steps_once_and_partitions_each_mode_once(tmp_path, monkeypatch):
-    # the partitions and the mu check of both pair domains read one entry pass, kept with the
-    # split like its partitions; the per-source step order is built for reachability witnesses only
+    # the partitions read the table entries; the mu check alone reads labelled steps, the restricted
+    # domain's, kept with the split; the per-source step order is built for reachability witnesses only
     scans = _count_calls(monkeypatch, ts.connect, "_scan_entries")
     ordered = _count_calls(monkeypatch, ts.connect, "_ordered_steps")
     partitions = _count_calls(monkeypatch, ts.connect, "_partition")
     for text in (NF3T_TEXT, JA_TEXT, JB_TEXT, CONFINE_TEXT):
         path = write(tmp_path, "t.lts", text)
         for mode, other in (("literal", "restricted"), ("restricted", "literal")):
-            for command, computed in (("report", [mode, other]), ("decompose", [mode, other]), ("minimal", [mode])):
+            for command, computed, scanned in (
+                ("report", [mode, other], ["restricted"]),
+                ("decompose", [mode, other], []),
+                ("minimal", [mode], ["restricted"]),
+            ):
                 for json_flag in ((), ("--json",)):
                     scans.clear()
                     ordered.clear()
                     partitions.clear()
                     code, out, _ = run([command, *json_flag, "--mode", mode, path])
                     assert code in (0, 1) and out
-                    assert len(scans) == 1 and not ordered, (text, command, mode)
+                    assert [args[1] for args in scans] == scanned and not ordered, (text, command, mode)
                     assert [args[1] for args in partitions] == computed, (text, command, mode)
 
 

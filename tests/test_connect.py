@@ -361,17 +361,16 @@ def test_reachable_and_validate_witness_refuse_indices_outside_the_basis(mode):
 
 
 def test_shared_scan_matches_per_mode_reference():
-    # the entry pass keeps each step once, as p <= q
+    # each mode's scan keeps each step once, as p <= q
     splits = random_split_systems(221, 150, max_dim=6, max_entries=6)
     splits += [split(T) for T in random_verified_corpus(222, 60, max_dim=8)]
     splits += random_arbitrary_splits(223, 600)
     for S in splits:
-        found = ts.connect._scan_entries(S)
         for mode in MODES:
             steps, faults = reference_steps(S, mode)
             assert not faults, (S, mode)
             got: dict[int, set] = {}
-            for x, b, p, q, y in found[mode]:
+            for x, b, p, q, y in ts.connect._scan_entries(S, mode):
                 assert p <= q, (S, mode)
                 got.setdefault(x, set()).add(((b, p, q), y))
             for x in range(1, S.sys.dim + 1):
@@ -438,7 +437,8 @@ def test_memo_leaves_fields_equality_hash_and_repr_alone():
             ts.reachable(S, 1, mode)
         ts.mu_multiplicativity_check(S)
         assert S.jset == tuple(i for i in range(1, S.sys.dim + 1) if i not in S.iset)
-        assert {"_entry_pass", "_ordered_steps_literal", "_ordered_steps_restricted", "jset"} <= set(vars(S))
+        views = {f"_{view}_{mode}" for view in ("steps", "ordered_steps", "partition") for mode in MODES}
+        assert views | {"jset"} <= set(vars(S))
         assert ([f.name for f in dataclasses.fields(S)], hash(S), repr(S)) == before
         assert S == fresh and fresh == S and hash(fresh) == hash(S)
         assert dataclasses.replace(S) == S
@@ -446,9 +446,10 @@ def test_memo_leaves_fields_equality_hash_and_repr_alone():
 
 def test_scan_and_partitions_are_computed_once_per_split(monkeypatch):
     orderings, passes, partitions = [], [], []
-    order, entry_pass, compute = ts.connect._ordered_steps, ts.connect._scan_entries, ts.connect._partition
+    order, scan, compute = ts.connect._ordered_steps, ts.connect._scan_entries, ts.connect._partition
     monkeypatch.setattr(ts.connect, "_ordered_steps", lambda S, mode: orderings.append(mode) or order(S, mode))
-    monkeypatch.setattr(ts.connect, "_scan_entries", lambda S: passes.append(S) or entry_pass(S))
+    for module in (ts.connect, ts.decompose):
+        monkeypatch.setattr(module, "_scan_entries", lambda S, mode: passes.append(mode) or scan(S, mode))
     monkeypatch.setattr(ts.connect, "_partition", lambda S, mode: partitions.append(mode) or compute(S, mode))
     for S in lemma_corpus() + random_split_systems(226, 30):
         orderings.clear()
@@ -461,5 +462,5 @@ def test_scan_and_partitions_are_computed_once_per_split(monkeypatch):
                 ts.is_minimal(S, mode)
             ts.mu_multiplicativity_check(S)
             ts.check_decomposition(S, "literal")
-        assert len(passes) == 1
+        assert passes == list(MODES)  # the mu check and reachability share the restricted steps
         assert orderings == partitions == list(MODES)

@@ -2,11 +2,13 @@
 
 A Python-level call (each function entry and each generator resumption that
 sys.setprofile reports as a "call" event) repeats exactly from run to run,
-where wall time on a shared machine does not.  C-level work is invisible to
-the count, so these tests bound the interpreter's share of a cost only.
+where wall time on a shared machine does not; so does a Python opcode count
+(sys.settrace with f_trace_opcodes).  C-level work is invisible to both
+counts, so these tests bound the interpreter's share of a cost only.
 """
 
 import io
+import random
 import sys
 
 import pytest
@@ -14,16 +16,17 @@ import pytest
 import trisys as ts
 from trisys import cli
 from trisys.cli import run_command
-from conftest import block_sum, make_jacobson_a, make_nf3_lift
+from conftest import block_sum, make_jacobson_a, make_nf3_lift, random_table
 
-# The calls of `report` on an empty dim-4 file on CPython 3.11.7.
-# CPython 3.12 and later inline comprehensions and make fewer.
-EMPTY_REPORT_CALLS = 160
+# The calls of `report` on an empty dim-4 file on CPython 3.11.7 (3.10.13
+# makes as many).  CPython 3.12 and later inline comprehensions and make
+# fewer: 120, 136 and 108 on 3.12.1 and 3.13.0 for the three counts here.
+EMPTY_REPORT_CALLS = 155
 # Likewise, the calls of `report` on the one-entry file NF3T and of
 # `decompose` on the block sum of the Jacobson system A and NF3T.
 NF3T = "dim 3\nprod 1 1 1 = 1 * 3\n"
-NF3T_REPORT_CALLS = 179
-BLOCK_SUM_DECOMPOSE_CALLS = 147
+NF3T_REPORT_CALLS = 175
+BLOCK_SUM_DECOMPOSE_CALLS = 143
 
 
 def count_calls(fn, *args):
@@ -113,3 +116,45 @@ def test_decompose_and_report_build_no_component_subsystem(tmp_path, monkeypatch
                 out = io.StringIO()
                 assert run_command([command, *flags, str(path)], out, io.StringIO()) in (0, 1)
                 assert "component" in out.getvalue() and not built, (text, command, flags)
+
+
+def count_opcodes(fn, *args):
+    """fn(*args) and the number of Python opcodes it executes."""
+    previous = sys.gettrace()
+    if previous is not None:
+        pytest.skip("another tracer is installed")
+    opcodes = 0
+
+    def count(frame, event, arg):
+        nonlocal opcodes
+        opcodes += event == "opcode"
+        return count
+
+    def trace(frame, event, arg):  # the global tracer sees each frame's "call" event only
+        frame.f_trace_opcodes, frame.f_trace = True, count  # 3.12 and 3.13 miss opcodes unless f_trace is set here
+        return count
+
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, opcodes
+
+
+@pytest.mark.parametrize("command", [["jideal"], ["split", "--generic="], ["decompose", "--generic="],
+                                     ["minimal", "--generic="]])
+def test_structure_commands_grow_linearly_in_the_table_size(tmp_path, monkeypatch, command):
+    # one table scan per layer: doubling |T| at fixed dim at most doubles the opcodes, up to 10%
+    monkeypatch.delenv("TRISYS_CAP", raising=False)
+    counts = []
+    for size in (64, 128, 256, 512):
+        path = tmp_path / f"{size}.tri"
+        path.write_text(ts.serialize_system(random_table(random.Random(size), 40, size)), encoding="utf-8")
+        argv = [*command, str(path)]
+        for _ in range(2):  # count the second run: CPython 3.12.1 counts no opcode in a process's first traced call
+            code, opcodes = count_opcodes(run_command, argv, io.StringIO(), io.StringIO())
+        assert code == 0
+        counts.append(opcodes)
+    growth = [b / a for a, b in zip(counts, counts[1:])]
+    assert max(growth) <= 2 * 1.1, f"{command[0]} opcodes {counts} grow by {growth} per doubling of |T|"
