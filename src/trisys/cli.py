@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     ZeroCoefficient,
 )
-from .exactnum import rat_str
+from .exactnum import rat_str, sparse_to_vector
 from .fileformat import _is_int, content_hash, parse_leibniz, parse_system
 from .fileformat import serialize_leibniz, serialize_system
 from .connect import partition
@@ -125,7 +125,7 @@ def _verify_section(T, args) -> tuple[int, dict]:
 def _jideal_section(T, witness) -> dict:
     return {
         "rank": witness.subspace.rank,
-        "rows": [[rat_str(c) for c in row] for row in witness.subspace.rows],
+        "rows": [sparse_to_vector(T.dim, {i: rat_str(c) for i, c in row}, "0") for row in witness.subspace.sparse_rows],
         "generators": len(witness.generators),
         "rounds": witness.closure_rounds,
         "annihilation": check_annihilation(T, witness.subspace),

@@ -2,19 +2,19 @@
 
 Everything is computed over the rationals with exact arithmetic, so rank,
 membership, and subspace equality are decided with zero tolerance.  A
-RowSpace is kept in reduced row echelon form with unit pivots; since that
-form is unique per subspace, two RowSpaces are equal as subspaces if and
-only if they are equal as values.
+RowSpace is kept in reduced row echelon form with unit pivots, each row
+sparse; since that form is unique per subspace, two RowSpaces are equal as
+subspaces if and only if they are equal as values.  Insertion touches only
+nonzeros (Gustavson, ACM TOMS 4(3), 1978), never all dim coordinates.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress, count, repeat
-from operator import is_not
+from functools import cached_property, reduce
 from typing import Iterable
 
 from .errors import DimensionError
@@ -80,10 +80,7 @@ def basis_vector(dim: int, index: int) -> Vector:
 
 def coordinate_space(dim: int, indices: Iterable[int]) -> RowSpace:
     """Canonical row space spanned by basis vectors, from sorted, distinct 1-based indices."""
-    indices = tuple(indices)
-    space = RowSpace(dim, tuple([basis_vector(dim, i) for i in indices]))
-    vars(space)["_basis"] = indices  # its basis_indices, known without a scan
-    return space
+    return RowSpace(dim, tuple([((i, ONE),) for i in indices]))
 
 
 Sparse = dict[int, Fraction]  # 1-based index -> nonzero coefficient
@@ -98,8 +95,8 @@ def sparse_add(acc: Sparse, index: int, value: Fraction) -> None:
         acc.pop(index, None)
 
 
-def sparse_to_vector(dim: int, sparse: Sparse) -> Vector:
-    out = [ZERO] * dim
+def sparse_to_vector(dim: int, sparse: Sparse, zero=ZERO) -> Vector:
+    out = [zero] * dim
     for index, c in sparse.items():
         out[index - 1] = c
     return tuple(out)
@@ -107,59 +104,60 @@ def sparse_to_vector(dim: int, sparse: Sparse) -> Vector:
 
 @dataclass(frozen=True)
 class RowSpace:
-    """A subspace represented by its reduced row echelon spanning rows."""
+    """A subspace by its reduced row echelon rows in pivot order, each its nonzero (index, coefficient) pairs ascending."""
 
     dim: int
-    rows: tuple[Vector, ...] = ()
+    sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...] = ()
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
-
-    def basis_indices(self) -> tuple[int, ...] | None:
-        """1-based indices when every row is a standard basis vector, else None; found once per space."""
-        return self._basis
+        return len(self.sparse_rows)
 
     @cached
-    def _basis(self) -> tuple[int, ...] | None:  # coordinate_space records it
-        # only coordinates that are not the shared ZERO object can be nonzero
-        nonzero = [[p + 1 for p in compress(count(), map(is_not, row, repeat(ZERO))) if row[p]] for row in self.rows]
-        return None if any(len(p) != 1 for p in nonzero) else tuple([p for p, in nonzero])
+    def rows(self) -> tuple[Vector, ...]:
+        """The rows as dim-long vectors, decoded on first read."""
+        return tuple([sparse_to_vector(self.dim, dict(row)) for row in self.sparse_rows])
+
+    def basis_indices(self) -> tuple[int, ...] | None:
+        """1-based indices when every row is a standard basis vector, else None; read in O(rank)."""
+        rows = self.sparse_rows
+        return tuple([row[0][0] for row in rows]) if sum(map(len, rows)) == len(rows) else None
 
 
-def _reduce(rows: tuple[Vector, ...], v: Vector) -> list[Fraction]:
-    w = list(v)
-    for row in rows:
-        p = next(q for q, c in enumerate(row) if c)
-        if w[p]:
-            c = w[p]
-            w = [a - c * b for a, b in zip(w, row)]
-    return w
+def sparse_insert(space: RowSpace, v: Sparse) -> RowSpace:
+    """Canonical row space of span(space ∪ {v}) for v's nonzero coordinates; space itself if v lies in it."""
+    rows = space.sparse_rows
+    if len(rows) == space.dim:
+        return space
+    w = dict(v)
+    for row in rows:  # less v[p]·row_p for each pivot p: reduced echelon form keeps v[p] final
+        c = v.get(row[0][0])
+        if c:
+            for i, b in row:
+                sparse_add(w, i, -c * b)
+    if not w:
+        return space
+    lead = min(w)
+    inv = ONE / w[lead]
+    new = tuple([(i, inv * w[i]) for i in sorted(w)])
+    out = [new]
+    for row in rows:  # clear the new pivot's column from the rows that hold it
+        k = bisect_left(row, (lead,))
+        if k < len(row) and row[k][0] == lead:
+            acc, c = dict(row), row[k][1]
+            for i, b in new:
+                sparse_add(acc, i, -c * b)
+            row = tuple(sorted(acc.items()))
+        out.append(row)
+    return RowSpace(space.dim, tuple(sorted(out)))  # by pivot: the rows' first pairs differ in their indices
 
 
 def span_insert(space: RowSpace, v: Vector) -> RowSpace:
     """Canonical row space of span(space ∪ {v}); rank grows by at most one."""
     if len(v) != space.dim:
         raise DimensionError(f"vector of length {len(v)} in space of dimension {space.dim}")
-    if space.rank == space.dim:
-        return space
-    w = _reduce(space.rows, v)
-    lead = next((p for p, c in enumerate(w) if c), None)
-    if lead is None:
-        return space
-    inv = ONE / w[lead]
-    new = tuple([inv * c for c in w])
-    adjusted = [
-        tuple([a - row[lead] * b for a, b in zip(row, new)]) if row[lead] else row
-        for row in space.rows
-    ]
-    adjusted.append(new)
-    adjusted.sort(key=lambda row: next(p for p, c in enumerate(row) if c))
-    return RowSpace(space.dim, tuple(adjusted))
+    return sparse_insert(space, {i: c for i, c in enumerate(v, 1) if c})
 
 
 def rowspace_from(dim: int, vectors: Iterable[Vector]) -> RowSpace:
-    space = RowSpace(dim)
-    for v in vectors:
-        space = span_insert(space, v)
-    return space
+    return reduce(span_insert, vectors, RowSpace(dim))

@@ -10,7 +10,7 @@ only when the ideal is spanned by basis vectors.
 A product of a basis vector with two basis vectors is a multiple of one basis
 vector, so a span of basis vectors closes and is checked on the entry digraph
 (x -> m for each entry with factor x and target m): one table scan plus dim
-per round.  Any other subspace keeps the exact row-space closure.
+per round.  Any other subspace keeps the exact row-space closure on sparse rows.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
 
 from .errors import DimensionError, InconsistentSplit, NotAdapted, NotAdmissible
-from .exactnum import (RowSpace, Sparse, Vector, cached, coordinate_space, rowspace_from, sparse_add,
-                       sparse_to_vector, span_insert)
+from .exactnum import RowSpace, Sparse, Vector, cached, coordinate_space, sparse_add, sparse_insert, sparse_to_vector
 from .system import Key, TripleSystem
 
 
@@ -106,8 +106,8 @@ def generator_vectors(T: TripleSystem) -> list[Vector]:
     return [sparse_to_vector(T.dim, acc) for _, acc in _generator_items(T)]
 
 
-def _slot_products(T: TripleSystem, v: Vector, slots=(0, 1, 2)) -> list[Vector]:
-    """Products {v,b,b'}, {b,v,b'}, {b,b',v} (in `slots`) over basis pairs, nonzero only.
+def _slot_products(T: TripleSystem, v: Sparse, slots=(0, 1, 2)) -> list[Sparse]:
+    """Products {v,b,b'}, {b,v,b'}, {b,b',v} (in `slots`) over basis pairs, nonzero only, as sparse sums.
 
     One scan of the table accumulates every pair's product, which keeps a
     closure round at O(rank * |table|) instead of O(rank * dim^2).
@@ -115,10 +115,10 @@ def _slot_products(T: TripleSystem, v: Vector, slots=(0, 1, 2)) -> list[Vector]:
     acc: dict[tuple[int, ...], Sparse] = {}
     for key, (c, m) in T.table.items():
         for slot in slots:
-            f = v[key[slot] - 1]
+            f = v.get(key[slot])
             if f:
                 sparse_add(acc.setdefault((slot, *key[:slot], *key[slot + 1:]), {}), m, f * c)
-    return [sparse_to_vector(T.dim, acc[p]) for p in sorted(acc) if acc[p]]
+    return [acc[p] for p in sorted(acc) if acc[p]]
 
 
 def _successor_closure(T: TripleSystem, indices) -> tuple[list[int], int]:
@@ -155,15 +155,15 @@ def ideal_closure(T: TripleSystem, seed: RowSpace) -> IdealWitness:
     if indices is not None:
         closed, rounds = _successor_closure(T, indices)
         return IdealWitness(seed if len(closed) == seed.rank else coordinate_space(T.dim, closed), (), rounds)
-    space, frontier, rounds = seed, seed.rows, 0
+    space, frontier, rounds = seed, [dict(row) for row in seed.sparse_rows], 0
     while True:
         rounds += 1
         if space.rank == T.dim:  # a round that starts at full rank is the stable round: counted, not run
             break
         inserted = []
         for w in [w for row in frontier for w in _slot_products(T, row)]:
-            grown = span_insert(space, w)
-            if grown.rank > space.rank:
+            grown = sparse_insert(space, w)
+            if grown is not space:
                 space = grown
                 inserted.append(w)
         if not inserted:
@@ -183,7 +183,7 @@ def compute_jideal(T: TripleSystem) -> IdealWitness:
     if all(acc.keys() <= units for _, acc in items):
         seed = coordinate_space(T.dim, sorted(units))
     else:
-        seed = rowspace_from(T.dim, [sparse_to_vector(T.dim, acc) for _, acc in items])
+        seed = reduce(sparse_insert, [acc for _, acc in items], RowSpace(T.dim))
     closed = ideal_closure(T, seed)
     return IdealWitness(closed.subspace, tuple([key for key, _ in items]), closed.closure_rounds)
 
@@ -200,7 +200,7 @@ def check_annihilation(T: TripleSystem, J: RowSpace) -> bool:
     indices = J.basis_indices()
     if indices is not None:
         return _annihilates(T, set(indices))
-    return not any(_slot_products(T, row, (1, 2)) for row in J.rows)
+    return not any(_slot_products(T, dict(row), (1, 2)) for row in J.sparse_rows)
 
 
 def _annihilates(T: TripleSystem, inside: set[int]) -> bool:
@@ -228,5 +228,5 @@ def split_system(T: TripleSystem, witness: IdealWitness | None = None) -> SplitS
     J = (witness or compute_jideal(T)).subspace
     iset = J.basis_indices()
     if iset is None:
-        raise NotAdapted(next(row for row in J.rows if sum(1 for c in row if c) != 1))
+        raise NotAdapted(sparse_to_vector(T.dim, dict(next(row for row in J.sparse_rows if len(row) != 1))))
     return SplitSystem(T, iset, "leibniz")

@@ -299,6 +299,81 @@ def same_subspace(space, vectors, dim):
     return all(oracle_solve_membership(space.rows, v) for v in vectors)
 
 
+# --- dense row reduction ------------------------------------------------------------
+#
+# exactnum keeps each reduced echelon row sparse.  These are the dense
+# algorithms it replaced: every row dim long, every step over all dim
+# coordinates, so they share no elimination code with the sparse rows.
+
+
+def _dense_pivot(row):
+    return next(p for p, c in enumerate(row) if c)
+
+
+def dense_reduce(rows, v):
+    """v less v[p]·row for each dense reduced echelon row with pivot p."""
+    w = list(v)
+    for row in rows:
+        p = _dense_pivot(row)
+        if w[p]:
+            c = w[p]
+            w = [a - c * b for a, b in zip(w, row)]
+    return w
+
+
+def dense_span_insert(rows, v):
+    """The dense reduced echelon rows of span(rows ∪ {v}), each dim long, in pivot order; no full-rank exit."""
+    w = dense_reduce(rows, v)
+    lead = next((p for p, c in enumerate(w) if c), None)
+    if lead is None:
+        return tuple(rows)
+    inv = Fraction(1) / w[lead]
+    new = tuple(inv * c for c in w)
+    adjusted = [tuple(a - row[lead] * b for a, b in zip(row, new)) if row[lead] else row for row in rows]
+    return tuple(sorted([*adjusted, new], key=_dense_pivot))
+
+
+def dense_rowspace_from(vectors):
+    rows = ()
+    for v in vectors:
+        rows = dense_span_insert(rows, v)
+    return rows
+
+
+def rowspace_of_rows(dim, rows):
+    """The RowSpace whose reduced echelon rows are the dense `rows`, encoded without row reduction."""
+    return ts.RowSpace(dim, tuple(tuple((p, c) for p, c in enumerate(row, 1) if c) for row in rows))
+
+
+def dense_slot_products(T, v, slots=(0, 1, 2)):
+    """Nonzero products {v,b,b'}, {b,v,b'}, {b,b',v} (in `slots`) of a dense v over basis pairs, dense, in pair order."""
+    acc = {}
+    for key, (c, m) in T.table.items():
+        for slot in slots:
+            f = v[key[slot] - 1]
+            if f:
+                acc.setdefault((slot, *key[:slot], *key[slot + 1:]), [Fraction(0)] * T.dim)[m - 1] += f * c
+    return [tuple(acc[p]) for p in sorted(acc) if any(acc[p])]
+
+
+def dense_ideal_closure(T, seed_rows):
+    """Semi-naive closure of dense reduced echelon rows, with the full-rank exit: (rows, closure rounds)."""
+    rows, frontier, rounds = tuple(seed_rows), tuple(seed_rows), 0
+    while True:
+        rounds += 1
+        if len(rows) == T.dim:
+            return rows, rounds
+        inserted = []
+        for w in [w for row in frontier for w in dense_slot_products(T, row)]:
+            grown = dense_span_insert(rows, w)
+            if len(grown) > len(rows):
+                rows = grown
+                inserted.append(w)
+        if not inserted:
+            return rows, rounds
+        frontier = inserted
+
+
 def oracle_hyperedge_components(T):
     """Connected components of the {i,j,k,target} hypergraph, plain BFS."""
     n = T.dim

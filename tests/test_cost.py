@@ -158,3 +158,23 @@ def test_structure_commands_grow_linearly_in_the_table_size(tmp_path, monkeypatc
         counts.append(opcodes)
     growth = [b / a for a, b in zip(counts, counts[1:])]
     assert max(growth) <= 2 * 1.1, f"{command[0]} opcodes {counts} grow by {growth} per doubling of |T|"
+
+
+# A two-entry file whose one generator, 2·b1 + b2, is no basis vector: the deviation ideal takes the row-space path.
+TWO_ENTRIES = "dim {}\nprod 1 2 2 = 1 * 2\nprod 2 1 2 = 2 * 1\n"
+
+
+@pytest.mark.parametrize("command", ["jideal", "decompose", "minimal"])
+def test_general_path_opcodes_do_not_grow_with_dim(tmp_path, monkeypatch, command):
+    # the sparse rows touch only nonzeros: doubling dim at a fixed table adds no Python-level work, up to 10%
+    monkeypatch.delenv("TRISYS_CAP", raising=False)
+    counts = []
+    for dim in (1000, 2000, 4000, 8000):
+        path = tmp_path / f"{dim}.tri"
+        path.write_text(TWO_ENTRIES.format(dim), encoding="utf-8")
+        for _ in range(2):  # count the second run: CPython 3.12.1 counts no opcode in a process's first traced call
+            code, opcodes = count_opcodes(run_command, [command, str(path)], io.StringIO(), io.StringIO())
+        assert code == (0 if command == "jideal" else 1)
+        counts.append(opcodes)
+    growth = [b / a for a, b in zip(counts, counts[1:])]
+    assert max(growth) <= 1.1, f"{command} opcodes {counts} grow by {growth} per doubling of dim"

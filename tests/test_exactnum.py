@@ -11,7 +11,6 @@ from trisys import (
     rowspace_from,
     span_insert,
 )
-from trisys.exactnum import coordinate_space
 from conftest import oracle_solve_membership
 
 F = Fraction
@@ -141,14 +140,3 @@ def test_basis_indices():
     assert s.basis_indices() == (1, 3)
     t = rowspace_from(2, [vec(1, 1)])
     assert t.basis_indices() is None
-
-
-def test_basis_indices_are_found_once_per_space():
-    # a coordinate space records its indices when built; any other space scans its rows on the first call only
-    for dim, indices in ((1, ()), (1, (1,)), (5, (2, 4, 5)), (5, (1, 2, 3, 4, 5))):
-        built = coordinate_space(dim, iter(indices))
-        scanned = RowSpace(dim, built.rows)
-        assert built == scanned and built.basis_indices() == scanned.basis_indices() == indices
-        assert scanned.basis_indices() is scanned.basis_indices()
-    t = rowspace_from(2, [vec(1, 1)])
-    assert t.basis_indices() is None and vars(t)["_basis"] is None

@@ -203,6 +203,10 @@ UNREAD_EXPORTS = {
         "check_leibniz",
     },
     "the product's definition: the table's trilinear extension to coordinate vectors": {"evaluate_product"},
+    "dense-vector entry points: callers build subspaces from coordinate vectors; the package inserts sparse rows": {
+        "basis_vector",
+        "rowspace_from",
+    },
     "the tracer-pinned enumerator: perfbench/tracer.py spans it by name": {"enumerate_inherited_ideals"},
 }
 

@@ -7,7 +7,13 @@ import pytest
 
 import trisys as ts
 from conftest import (
+    COEFFS,
+    block_sum,
     dense_generator_items,
+    dense_ideal_closure,
+    dense_rowspace_from,
+    dense_slot_products,
+    dense_span_insert,
     fraction_generator_items,
     make_jacobson_a,
     make_jacobson_b,
@@ -23,6 +29,7 @@ from conftest import (
     random_table,
     random_verified_corpus,
     reference_steps,
+    rowspace_of_rows,
     same_subspace,
 )
 
@@ -349,34 +356,22 @@ def test_split_checks_partition_ideal_and_annihilation_on_construction():
 # --- the full-rank exit of the closure ---------------------------------------------
 
 
-def _span_insert_without_exit(space, v):
-    """exactnum.span_insert without its full-rank exit: always reduces v."""
-    w = list(v)
-    for row in space.rows:
-        p = next(q for q, c in enumerate(row) if c)
-        if w[p]:
-            c = w[p]
-            w = [a - c * b for a, b in zip(w, row)]
-    lead = next((p for p, c in enumerate(w) if c), None)
-    if lead is None:
-        return space
-    new = tuple(c / w[lead] for c in w)
-    rows = [tuple(a - row[lead] * b for a, b in zip(row, new)) for row in space.rows] + [new]
-    rows.sort(key=lambda row: next(p for p, c in enumerate(row) if c))
-    return ts.RowSpace(space.dim, tuple(rows))
-
-
 def _closure_without_exit(T, seed):
-    """ideal_closure without its full-rank exit: every round is run, the stable one too."""
-    space, rounds = seed, 0
+    """ideal_closure without its full-rank exit, on the dense reference rows: every round is run, the stable one too."""
+    rows, rounds = seed.rows, 0
     while True:
         rounds += 1
-        before = space.rank
-        for row in space.rows:
-            for w in ts.jideal._slot_products(T, row):
-                space = _span_insert_without_exit(space, w)
-        if space.rank == before:
-            return ts.IdealWitness(space, (), rounds)
+        before = len(rows)
+        for row in rows:
+            for w in dense_slot_products(T, row):
+                rows = dense_span_insert(rows, w)
+        if len(rows) == before:
+            return ts.IdealWitness(rowspace_of_rows(T.dim, rows), (), rounds)
+
+
+def _generated(T, items):
+    """The dense reference's generator span of dense generator items, as a RowSpace."""
+    return rowspace_of_rows(T.dim, dense_rowspace_from(v for _, v in items))
 
 
 def _closure_corpus(name):
@@ -400,7 +395,7 @@ def test_full_rank_exit_keeps_witnesses(corpus):
     full_rank = 0
     for T in _closure_corpus(corpus):
         items = dense_generator_items(T)
-        generated = _closure_without_exit(T, ts.rowspace_from(T.dim, (v for _, v in items)))
+        generated = _closure_without_exit(T, _generated(T, items))
         expected = ts.IdealWitness(generated.subspace, tuple(k for k, _ in items), generated.closure_rounds)
         assert ts.compute_jideal(T) == expected, T
         full_rank += expected.subspace.rank == T.dim
@@ -418,6 +413,77 @@ def test_span_insert_at_full_rank_returns_the_space():
         assert ts.span_insert(full, v) is full
     with pytest.raises(ts.DimensionError):
         ts.span_insert(full, (F(1),) * 2)
+
+
+# --- the sparse rows against the dense reference --------------------------------------
+
+RATIONALS = (F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4))
+
+
+def _random_vectors(rng, dim, count):
+    """Seeded vectors of integer or rational coefficients, some zero, some repeated, some holding ints."""
+    out = []
+    for _ in range(count):
+        draw = rng.random()
+        if draw < 0.1:
+            v = (F(0),) * dim
+        elif draw < 0.25 and out:
+            v = rng.choice(out)
+        else:
+            density = rng.choice((0.25, 0.5, 1.0))
+            v = tuple(rng.choice(RATIONALS) if rng.random() < density else F(0) for _ in range(dim))
+            if draw < 0.35:
+                v = tuple(int(c) if c.denominator == 1 else c for c in v)
+        out.append(v)
+    return out
+
+
+def _canonical(space):
+    """Every sparse row ascends by index from its unit pivot, holds exact nonzero Fractions, and the pivots ascend."""
+    pivots = [row[0][0] for row in space.sparse_rows]
+    return (
+        pivots == sorted(set(pivots))
+        and all(row[0][1] == 1 and [i for i, _ in row] == sorted({i for i, _ in row}) for row in space.sparse_rows)
+        and all(type(c) is F and c for row in space.sparse_rows for _, c in row)
+        and all(1 <= i <= space.dim for row in space.sparse_rows for i, _ in row)
+    )
+
+
+def test_sparse_rows_match_the_dense_reference():
+    rng = random.Random(311)
+    coordinate = other = 0
+    for dim in range(1, 9):
+        for _ in range(20):
+            vectors = _random_vectors(rng, dim, rng.randint(0, dim + 2))
+            space, rows = ts.rowspace_from(dim, vectors), dense_rowspace_from(vectors)
+            assert space == rowspace_of_rows(dim, rows) and space.rows == rows and _canonical(space), vectors
+            for probe in _random_vectors(rng, dim, 3):
+                grown = ts.span_insert(space, probe)
+                assert grown.rows == dense_span_insert(rows, probe) and _canonical(grown), (vectors, probe)
+                assert (grown is space) == (grown.rank == space.rank)
+            T = random_table(rng, dim, rng.randint(0, dim * dim), rng.choice((COEFFS, RATIONALS)))
+            closed, rounds = dense_ideal_closure(T, rows)
+            got = ts.ideal_closure(T, space)
+            assert got == ts.IdealWitness(rowspace_of_rows(dim, closed), (), rounds) and _canonical(got.subspace), T
+            if space.basis_indices() is None:
+                other += 1
+            else:
+                coordinate += 1
+            indices = sorted(rng.sample(range(1, dim + 1), rng.randint(0, dim)))
+            units = ts.exactnum.coordinate_space(dim, indices)
+            assert units == rowspace_of_rows(dim, dense_rowspace_from(ts.basis_vector(dim, i) for i in indices))
+            assert units.basis_indices() == tuple(indices)
+    assert coordinate > 20 and other > 20, (coordinate, other)
+    # split_system names the first row that is not a basis vector, dense, wherever it lies among the rows
+    nf3, unadapted = make_nf3_lift(), make_unadapted()
+    for T, position, row in ((block_sum(nf3, unadapted, nf3), 1, (0, 0, 0, 1, 1, 0, 0, 0, 0, 0)),
+                             (block_sum(unadapted, nf3), 0, (1, 1, 0, 0, 0, 0, 0))):
+        J = ts.compute_jideal(T).subspace
+        assert J.rank > position + 1 and J.rows[position] == row
+        assert [len(r) for r in J.sparse_rows] == [1] * position + [2] + [1] * (J.rank - position - 1)
+        with pytest.raises(ts.NotAdapted) as exc:
+            ts.split_system(T)
+        assert exc.value.row == tuple(map(F, row)) and type(exc.value.row) is tuple
 
 
 # --- coordinate subspaces on the entry digraph ---------------------------------------
@@ -448,15 +514,15 @@ def _coordinate_seeds(rng, dim, count):
 
 
 def _all_fractions(space):
-    return all(type(c) is F for row in space.rows for c in row)
+    return all(type(c) is F for row in space.sparse_rows for _, c in row)
 
 
 @pytest.fixture
 def row_reductions(monkeypatch):
-    """Counts the calls of rowspace_from made by jideal."""
+    """Counts the sparse inserts that jideal makes."""
     calls = []
-    original = ts.jideal.rowspace_from
-    monkeypatch.setattr(ts.jideal, "rowspace_from", lambda *args: calls.append(args) or original(*args))
+    original = ts.jideal.sparse_insert
+    monkeypatch.setattr(ts.jideal, "sparse_insert", lambda *args: calls.append(args) or original(*args))
     return calls
 
 
@@ -507,7 +573,7 @@ def test_closure_falls_back_off_coordinate_seeds():
 def test_jideal_seed_branches_keep_witnesses(corpus, row_reductions):
     for T in _closure_corpus(corpus) + [make_unadapted()]:
         items = dense_generator_items(T)
-        generated = _closure_without_exit(T, ts.rowspace_from(T.dim, (v for _, v in items)))
+        generated = _closure_without_exit(T, _generated(T, items))
         before = len(row_reductions)
         got = ts.compute_jideal(T)
         assert got == ts.IdealWitness(generated.subspace, tuple(k for k, _ in items), generated.closure_rounds), T
@@ -531,13 +597,13 @@ def test_jideal_seed_with_multi_index_generators():
 
 
 def test_coordinate_checks_read_unit_rows_of_any_zero_objects():
-    # rows equal to unit vectors whatever objects hold their zeros
+    # vectors equal to unit vectors give unit rows, whatever objects hold their zeros
     T = ts.construct_system(2, [(1, 2, 2, F(1), 1)])
     for zero in (F(0), 0, ts.exactnum.ZERO):
-        J = ts.RowSpace(2, ((F(1), zero),))
-        assert J.basis_indices() == (1,)
+        J = ts.span_insert(ts.RowSpace(2), (F(1), zero))
+        assert J.basis_indices() == (1,) and J.rows == ((F(1), F(0)),)
         assert ts.check_annihilation(T, J)
         assert ts.ideal_closure(T, J).subspace == J
-        K = ts.RowSpace(2, ((zero, F(1)),))
+        K = ts.span_insert(ts.RowSpace(2), (zero, F(1)))
         assert not ts.check_annihilation(T, K)
         assert ts.ideal_closure(T, K).subspace != K
